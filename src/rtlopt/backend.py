@@ -9,23 +9,18 @@ extracts metrics with named regex patterns; it never interprets reports.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
 import subprocess
 import tempfile
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import count
 
 import numpy as np
 
-from .dsl import (
-    CompiledDesign,
-    Expr,
-    RtlDesign,
-    RtlError,
-    topo_order,
-)
+from .dsl import CompiledDesign, Expr, RtlDesign, topo_order
 from .timing import Stage, TimingPath, TimingReport
 
 # Delay model (ns); w is the operand width. Width-dependent terms make wide
@@ -47,6 +42,8 @@ SEC_EXHAUSTIVE = "exhaustive"
 SEC_BOUNDED = "bounded-sampled"
 SEC_EXTERNAL = "external"
 SEC_SKIPPED_BASELINE = "skipped-baseline"
+
+EXTERNAL_TIMEOUT_S = 3600.0
 
 
 class BackendError(Exception):
@@ -166,7 +163,7 @@ class ExternalConfig:
     sec_command_template: str = ""
     metric_patterns: dict = field(default_factory=dict)  # name -> regex with one group
     report_files: tuple = ()
-    timeout_s: float = 3600.0
+    timeout_s: float = EXTERNAL_TIMEOUT_S
 
 
 @dataclass(frozen=True)
@@ -184,6 +181,12 @@ class BackendConfig:
             raise ValueError("clock_period must be > 0")
         if self.kind not in ("builtin", "external"):
             raise ValueError(f"unknown backend kind {self.kind!r}")
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "BackendConfig":
+        if d.get("external") is not None:
+            d = {**d, "external": ExternalConfig(**d["external"])}
+        return cls(**d)
 
     def to_dict(self) -> dict:
         d = {"kind": self.kind, "clock_period": self.clock_period}
@@ -327,11 +330,6 @@ def check_equivalence(golden: RtlDesign, candidate: RtlDesign,
                 high = 1 << p.width
                 vec[p.name] = rng.integers(0, high, size=n, dtype=np.uint64)
             input_arrays.append(vec)
-        if not inputs:
-            n = 1
-            input_arrays = [dict() for _ in range(frames)]
-    if not inputs:
-        input_arrays = [dict() for _ in range(frames)]
 
     golden_traces = CompiledDesign(golden).run(input_arrays, frames)
     candidate_traces = CompiledDesign(candidate).run(input_arrays, frames)
@@ -405,31 +403,33 @@ class MissingPlaceholder(BackendError):
 
 
 def run_external(template: str, substitutions: dict, *, workdir: str | None = None,
-                 timeout_s: float = 3600.0, report_files: tuple = ()) -> ExternalRun:
+                 timeout_s: float = EXTERNAL_TIMEOUT_S,
+                 report_files: tuple = ()) -> ExternalRun:
     """Substitute and execute a toolchain command in an isolated directory.
 
     The command's outputs are captured verbatim; nothing here interprets
     them. Unresolvable placeholders are a configuration error raised before
-    anything runs.
+    anything runs. Without a ``workdir`` the command runs in a temporary
+    directory that is removed once its report files are read.
     """
     try:
         command = template.format(**substitutions)
     except KeyError as exc:
         raise MissingPlaceholder(f"missing placeholder {exc.args[0]!r} in {template!r}") from exc
 
-    own_dir = workdir is None
-    if own_dir:
-        workdir = tempfile.mkdtemp(prefix="rtlopt-ext-")
-    proc = subprocess.run(
-        command, shell=True, cwd=workdir, capture_output=True, text=True,
-        timeout=timeout_s,
-    )
-    reports = {}
-    for rel in report_files:
-        path = os.path.join(workdir, rel.format(**substitutions))
-        if os.path.exists(path):
-            with open(path) as fh:
-                reports[rel] = fh.read()
+    scratch = (nullcontext(workdir) if workdir is not None
+               else tempfile.TemporaryDirectory(prefix="rtlopt-ext-"))
+    with scratch as cwd:
+        proc = subprocess.run(
+            command, shell=True, cwd=cwd, capture_output=True, text=True,
+            timeout=timeout_s,
+        )
+        reports = {}
+        for rel in report_files:
+            path = os.path.join(cwd, rel.format(**substitutions))
+            if os.path.exists(path):
+                with open(path) as fh:
+                    reports[rel] = fh.read()
     return ExternalRun(proc.returncode, proc.stdout, proc.stderr, reports)
 
 
@@ -472,7 +472,6 @@ class ExternalBackend:
         # flow populates the canonical JSON schema itself.
         report_json = run.reports.get("timing_report.json")
         if report_json is not None:
-            import json
             report = TimingReport.from_dict(json.loads(report_json))
         else:
             report = TimingReport(self.config.clock_period, ())

@@ -14,13 +14,14 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import backend as be
 from . import skills as sk
 from .dsl import RtlError, parse
 from .llm import LlmClient
 from .orchestrator import BaselineEvaluationError, RunConfig, run
-from .trajectory import RunState, canonical_json, convergence_steps, sec_pass_rate
+from .trajectory import RunState, canonical_json, running_best
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -79,7 +80,6 @@ def cmd_optimize(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.seed is not None:
-        from dataclasses import replace
         config = replace(config, seed=args.seed)
     library = sk.import_library(args.skills) if args.skills else sk.SkillLibrary()
     llm_client = (LlmClient(config.proposer.llm,
@@ -209,28 +209,17 @@ REPORT_COLUMNS = ["t", "best_wns", "best_tns", "best_area", "best_score",
 
 
 def report_rows(state: RunState) -> list[dict]:
-    rows = []
-    best = (None, 0.0)  # (metrics, score)
-    evaluated = passed = 0
     baseline = be.PpaMetrics.from_dict(state.baseline)
-    best_metrics = baseline
-    for it in state.iterations:
-        for cand in it.candidates:
-            if cand.status == "skipped":
-                continue
-            evaluated += 1
-            if cand.sec_pass:
-                passed += 1
-                if cand.score is not None and cand.score.score < best[1]:
-                    best = (cand, cand.score.score)
-                    best_metrics = cand.eval.metrics
+    rows = []
+    for it, best in zip(state.iterations, running_best(state)):
+        metrics = best.candidate.eval.metrics if best.candidate else baseline
         rows.append({
             "t": it.index,
-            "best_wns": best_metrics.wns,
-            "best_tns": best_metrics.tns,
-            "best_area": best_metrics.area,
-            "best_score": best[1],
-            "sec_pass_rate_cum": passed / evaluated if evaluated else 0.0,
+            "best_wns": metrics.wns,
+            "best_tns": metrics.tns,
+            "best_area": metrics.area,
+            "best_score": best.score,
+            "sec_pass_rate_cum": best.pass_rate,
         })
     return rows
 

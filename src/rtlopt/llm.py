@@ -83,8 +83,9 @@ class LlmClient:
 
     def _extract_module(self, text: str, parent: RtlDesign) -> RtlDesign:
         blocks = _FENCE_RE.findall(text)
-        if not blocks:
-            raise ValueError("response contains no fenced code block")
+        if len(blocks) != 1:
+            raise ValueError(f"response contains {len(blocks)} fenced code blocks, "
+                             "expected exactly one")
         design = parse(blocks[0], filename=parent.filename)
         if design.port_signature() != parent.port_signature():
             raise ValueError("rewritten module changes the port interface")

@@ -10,10 +10,9 @@ LLM; never emits two byte-identical candidates.
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .dsl import RtlDesign, RtlError, parse, print_design
+from .dsl import RtlDesign, print_design
 from .rewrites import STRATEGY_FUNCTIONS, NotApplicable, apply_strategy
 from .skills import STRATEGIES, SkillLibrary, match
 from .timing import BottleneckDiagnosis
@@ -62,10 +61,9 @@ class ProposerConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProposerConfig":
-        llm = LlmSettings.from_dict(d["llm"]) if d.get("llm") else None
-        return cls(n_candidates=d.get("n_candidates", 5),
-                   exploration_fraction=d.get("exploration_fraction", 0.4),
-                   llm=llm)
+        if d.get("llm") is not None:
+            d = {**d, "llm": LlmSettings.from_dict(d["llm"])}
+        return cls(**d)
 
 
 @dataclass

@@ -19,6 +19,7 @@ from .dsl import (
     Net,
     Register,
     RtlDesign,
+    eval_expr,
     parse,
     print_design,
     reference_counts,
@@ -305,7 +306,6 @@ def _all_ones(width: int) -> int:
 def _fold_node(node: Expr) -> Expr | None:
     args = node.args
     if args and all(a.kind == "const" for a in args) and node.kind != "var":
-        from .dsl import eval_expr
         value = eval_expr(node, {})
         return Expr("const", node.width, value=value, loc=node.loc)
     if node.kind in ("and", "or", "xor", "add", "sub"):

@@ -101,13 +101,13 @@ def score(metrics: PpaMetrics, baseline: PpaMetrics,
 def select_next(parent, group):
     """Best SEC-passing candidate by score, or the parent when none pass.
 
-    ``group`` entries expose ``sec_pass`` and a numeric ``score_value``
-    attribute (or ``score.score``); ties break toward the earliest index.
+    ``group`` entries expose ``sec_pass`` and a ``score`` that is a number or
+    a ``CandidateScore``; ties break toward the earliest index.
     """
     best = None
     best_key = None
     for index, candidate in enumerate(group):
-        if not _sec_pass(candidate):
+        if not candidate.sec_pass:
             continue
         key = (_score_value(candidate), index)
         if best_key is None or key < best_key:
@@ -115,16 +115,9 @@ def select_next(parent, group):
     return parent if best is None else best
 
 
-def _sec_pass(candidate) -> bool:
-    return bool(getattr(candidate, "sec_pass"))
-
-
 def _score_value(candidate) -> float:
-    value = getattr(candidate, "score_value", None)
-    if value is not None:
-        return float(value)
-    inner = getattr(candidate, "score")
-    return float(inner.score if hasattr(inner, "score") else inner)
+    inner = candidate.score
+    return float(inner.score if isinstance(inner, CandidateScore) else inner)
 
 
 def group_advantage(scores: list[float]) -> GroupStats:

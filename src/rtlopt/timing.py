@@ -10,9 +10,8 @@ adapters must normalize into:
 
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dsl import Expr, RtlDesign, reference_counts
 
@@ -197,7 +196,7 @@ def _endpoint_cone(path: TimingPath, design: RtlDesign) -> Expr | None:
     return None
 
 
-def _cone_var_counts(expr: Expr, design: RtlDesign, seen: set) -> dict[str, int]:
+def _cone_var_counts(expr: Expr, design: RtlDesign) -> dict[str, int]:
     """Occurrences of each source signal in the full transitive cone."""
     counts: dict[str, int] = {}
     assign_by_target = {a.target: a for a in design.assigns}
@@ -222,8 +221,6 @@ def diagnose(path: TimingPath, design: RtlDesign) -> BottleneckDiagnosis:
     Deterministic rules applied in priority order; always returns a
     diagnosis (excessive-depth is the fallback).
     """
-    if not path.stages and path.startpoint == path.endpoint:
-        pass  # wire-through / constant endpoints still get the fallback label
     region = map_path_to_rtl(path, design)
 
     cone = _endpoint_cone(path, design)
@@ -274,7 +271,7 @@ def diagnose(path: TimingPath, design: RtlDesign) -> BottleneckDiagnosis:
 
     # 6. reconvergence: the same source signal reaches the endpoint twice.
     if cone is not None:
-        counts = _cone_var_counts(cone, design, set())
+        counts = _cone_var_counts(cone, design)
         reconv = sorted(name for name, c in counts.items() if c >= 2)
         if reconv:
             return result("reconvergent", f"{reconv[0]} reconverges in the cone of {path.endpoint}")

@@ -20,9 +20,7 @@ from .scoring import CandidateScore, GroupStats
 from .timing import BottleneckDiagnosis
 
 STATUS_RUNNING = "running"
-STATUS_CONVERGED = "converged"
 STATUS_BUDGET = "budget-exhausted"
-STATUS_FAILED = "failed"
 
 CANDIDATE_OK = "ok"
 CANDIDATE_SKIPPED = "skipped"
@@ -284,16 +282,47 @@ class TrajectoryStore:
             self._persist_locked()
 
 
-def best_so_far_scores(state: RunState) -> list[float]:
-    """Score series: baseline 0.0 followed by the running best per iteration."""
-    series = [0.0]
-    best = 0.0
+@dataclass(frozen=True)
+class RunningBest:
+    """The run as it stands after one iteration."""
+    candidate: CandidateRecord | None  # best SEC-passing so far; None: baseline
+    evaluated: int                     # non-skipped candidate slots so far
+    passed: int                        # SEC-passing slots so far
+
+    @property
+    def score(self) -> float:
+        return self.candidate.score.score if self.candidate else 0.0
+
+    @property
+    def pass_rate(self) -> float:
+        return self.passed / self.evaluated if self.evaluated else 0.0
+
+
+def running_best(state: RunState) -> list[RunningBest]:
+    """One entry per iteration, in order.
+
+    A candidate must beat the best so far strictly: ties keep the earliest,
+    and only a score below the baseline's 0.0 replaces the baseline.
+    """
+    series = []
+    best, best_score = None, 0.0
+    evaluated = passed = 0
     for it in state.iterations:
         for cand in it.candidates:
-            if cand.sec_pass and cand.score is not None:
-                best = min(best, cand.score.score)
-        series.append(best)
+            if cand.status == CANDIDATE_SKIPPED:
+                continue
+            evaluated += 1
+            if cand.sec_pass:
+                passed += 1
+                if cand.score is not None and cand.score.score < best_score:
+                    best, best_score = cand, cand.score.score
+        series.append(RunningBest(best, evaluated, passed))
     return series
+
+
+def best_so_far_scores(state: RunState) -> list[float]:
+    """Score series: baseline 0.0 followed by the running best per iteration."""
+    return [0.0] + [b.score for b in running_best(state)]
 
 
 def convergence_steps(state: RunState,
@@ -303,7 +332,6 @@ def convergence_steps(state: RunState,
     Returns the iteration count when the run is still improving at the end.
     """
     series = best_so_far_scores(state)
-    k = len(series) - 1
     t_star = 0
     for t in range(1, len(series)):
         if series[t - 1] - series[t] >= epsilon:
@@ -313,13 +341,5 @@ def convergence_steps(state: RunState,
 
 def sec_pass_rate(state: RunState) -> float:
     """Passing fraction over all evaluated (non-skipped) candidate slots."""
-    evaluated = 0
-    passed = 0
-    for it in state.iterations:
-        for cand in it.candidates:
-            if cand.status == CANDIDATE_SKIPPED:
-                continue
-            evaluated += 1
-            if cand.sec_pass:
-                passed += 1
-    return passed / evaluated if evaluated else 0.0
+    series = running_best(state)
+    return series[-1].pass_rate if series else 0.0

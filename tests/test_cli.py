@@ -46,6 +46,18 @@ def test_load_config_rejects_unknown_section(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("section, key", [
+    ("run", "early_stop"), ("proposer", "n_slots"), ("backend", "clock"),
+])
+def test_optimize_unknown_key_exit_1(design_file, tmp_path, capsys, section, key):
+    config = _write(tmp_path, "bad.json", {section: {key: True}})
+    code = main(["optimize", "--design", design_file, "--config", config,
+                 "--out", str(tmp_path / "runs")])
+    assert code == 1
+    assert key in capsys.readouterr().err
+    assert not os.path.exists(str(tmp_path / "runs"))
+
+
 def test_optimize_success_and_summary(design_file, tmp_path, capsys):
     config = _write(tmp_path, "c.json", {"run": {"iterations": 2}})
     code = main(["optimize", "--design", design_file, "--config", config,

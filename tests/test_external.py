@@ -1,5 +1,7 @@
 """External command adapter: templating, extraction, SEC exit codes."""
 
+import tempfile
+
 import pytest
 
 from corpus import CHAIN_ADDER_8
@@ -45,6 +47,14 @@ def test_run_external_collects_report_files(tmp_path):
     result = run_external("echo 'area 12.5' > ppa.rpt", {"design_dir": "."},
                           workdir=str(tmp_path), report_files=("ppa.rpt",))
     assert result.reports["ppa.rpt"].strip() == "area 12.5"
+
+
+def test_run_external_removes_its_own_workdir(tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    result = run_external("echo 'area 12.5' > ppa.rpt", {},
+                          report_files=("ppa.rpt",))
+    assert result.reports["ppa.rpt"].strip() == "area 12.5"
+    assert list(tmp_path.glob("rtlopt-ext-*")) == []
 
 
 def test_external_synthesize_extracts_metrics():

@@ -1,0 +1,44 @@
+"""Import hygiene of src/rtlopt: no unused module-level imports, none in functions.
+
+Package ``__init__.py`` files re-export names, so they are exempt from the
+unused check.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rtlopt"
+MODULES = sorted(SRC.rglob("*.py"))
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _imported_names(node):
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "__init__.py"],
+                         ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unused_module_level_imports(path):
+    tree = _tree(path)
+    imported = [name for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in _imported_names(node)]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert [name for name in imported if name not in used] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_imports_only_at_module_level(path):
+    tree = _tree(path)
+    module_level = {id(node) for node in tree.body}
+    nested = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, (ast.Import, ast.ImportFrom))
+              and id(node) not in module_level]
+    assert nested == []

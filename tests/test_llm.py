@@ -103,6 +103,13 @@ def test_changed_ports_rejected_then_none(stub_server):
     assert all("port interface" in t.outcome for t in client.transcripts)
 
 
+def test_two_code_blocks_rejected(stub_server):
+    _StubHandler.script = [_chat_body(f"```\n{REBALANCED}```\nor\n```\n{REBALANCED}```")]
+    client = _client(stub_server, max_retries=0)
+    assert client.propose(parse(CHAIN_ADDER_8), None, SkillLibrary()) is None
+    assert "2 fenced code blocks" in client.transcripts[0].outcome
+
+
 def test_unparseable_module_rejected(stub_server):
     _StubHandler.script = [_chat_body("```\nmodule broken(input a; endmodule\n```")]
     client = _client(stub_server, max_retries=0)

@@ -90,6 +90,11 @@ def test_baseline_failure_aborts(tmp_path):
         run(design, _config(backend=bad_backend), str(tmp_path))
 
 
+def test_run_config_round_trips_through_dict():
+    config = _config(iterations=2, seed=3, proposer=ProposerConfig(n_candidates=3))
+    assert RunConfig.from_dict(config.to_dict()) == config
+
+
 def test_evaluate_group_isolates_failures(bcfg):
     design = parse(CHAIN_ADDER_8)
     mismatched = parse(CHAIN_ADDER_8.replace("module chain", "module chain")
@@ -100,7 +105,7 @@ def test_evaluate_group_isolates_failures(bcfg):
         Proposal(mismatched, "rule", "tree-rebalance", None),
         Proposal(None, "skipped", None, None, skipped=True),
     ]
-    results = evaluate_group(proposals, design, bcfg, limit=2)
+    results = evaluate_group(proposals, design, bcfg)
     assert results[0].sec_pass
     assert isinstance(results[1], Exception)
     assert results[2] is None

@@ -18,6 +18,7 @@ from rtlopt.trajectory import (
     canonical_json,
     convergence_steps,
     design_hash,
+    running_best,
     sec_pass_rate,
 )
 
@@ -140,6 +141,24 @@ def test_concurrent_candidate_recording(tmp_path):
 def test_best_so_far_series():
     state = _state_with_bests([-0.2, -0.1, -0.3])
     assert best_so_far_scores(state) == [0.0, -0.2, -0.2, -0.3]
+
+
+def test_running_best_keeps_earliest_tie_and_counts_slots():
+    groups = [[_cand("a", -0.2), _cand("b", -0.2), _cand("c", status="skipped")],
+              [_cand("d", -0.5, sec_pass=False), _cand("e", -0.1)]]
+    state = RunState(run_id="r", design_name="d", config={}, iterations=[
+        IterationRecord(index=i, parent_id="p", group_size=len(g), candidates=g)
+        for i, g in enumerate(groups)])
+    first, second = running_best(state)
+    assert first.candidate.candidate_id == second.candidate.candidate_id == "a"
+    assert (first.evaluated, first.passed) == (2, 2)
+    assert (second.evaluated, second.passed) == (4, 3)
+    assert second.score == -0.2 and second.pass_rate == pytest.approx(3 / 4)
+
+
+def test_running_best_is_baseline_until_a_gain():
+    (only,) = running_best(_state_with_bests([0.0]))
+    assert only.candidate is None and only.score == 0.0
 
 
 def test_convergence_steps_examples():
