@@ -138,7 +138,6 @@ class EvalResult:
     sec_mode: str
     timing_report: TimingReport
     backend_id: str
-    wall_time: float  # seconds; 0.0 for the builtin backend (reproducible logs)
 
     def to_dict(self) -> dict:
         return {
@@ -147,14 +146,12 @@ class EvalResult:
             "sec_mode": self.sec_mode,
             "timing_report": self.timing_report.to_dict(),
             "backend_id": self.backend_id,
-            "wall_time": self.wall_time,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalResult":
         return cls(PpaMetrics.from_dict(d["metrics"]), d["sec_pass"], d["sec_mode"],
-                   TimingReport.from_dict(d["timing_report"]), d["backend_id"],
-                   d["wall_time"])
+                   TimingReport.from_dict(d["timing_report"]), d["backend_id"])
 
 
 @dataclass(frozen=True)
@@ -353,13 +350,13 @@ def check_equivalence(golden: RtlDesign, candidate: RtlDesign,
 
 
 def evaluate(design: RtlDesign, golden: RtlDesign | None,
-             config: BackendConfig, backend_id: str = "builtin") -> EvalResult:
+             config: BackendConfig) -> EvalResult:
     """Synthesize plus (optionally) check equivalence against the golden."""
     metrics, report = synthesize(design, config)
     if golden is None:
-        return EvalResult(metrics, True, SEC_SKIPPED_BASELINE, report, backend_id, 0.0)
+        return EvalResult(metrics, True, SEC_SKIPPED_BASELINE, report, config.kind)
     verdict = check_equivalence(golden, design, config)
-    return EvalResult(metrics, verdict.passed, verdict.mode, report, backend_id, 0.0)
+    return EvalResult(metrics, verdict.passed, verdict.mode, report, config.kind)
 
 
 def _external_sec(golden: RtlDesign, candidate: RtlDesign,

@@ -114,8 +114,7 @@ def cmd_eval(args) -> int:
         return EXIT_CONFIG
     try:
         golden = _load_design(args.golden) if args.golden else None
-        result = be.evaluate(design, golden, config.backend,
-                             backend_id=config.backend.kind)
+        result = be.evaluate(design, golden, config.backend)
     except be.PortInterfaceMismatch as exc:
         print(f"error: port interface mismatch: {exc}", file=sys.stderr)
         return EXIT_BASELINE

@@ -462,7 +462,7 @@ def parse(source: str, filename: str = "<memory>") -> RtlDesign:
     registers = tuple(reg_updates[rname] for rname, _, _ in regs)
     design = RtlDesign(name, source, tuple(ports), tuple(nets), registers,
                        tuple(assigns), filename=filename)
-    _check_acyclic(design, locs)
+    topo_order(design)  # raises on a combinational cycle
     return design
 
 
@@ -495,7 +495,3 @@ def topo_order(design: RtlDesign) -> list[Assign]:
     for a in design.assigns:
         visit(a.target, [])
     return order
-
-
-def _check_acyclic(design: RtlDesign, locs) -> None:
-    topo_order(design)

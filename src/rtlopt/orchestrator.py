@@ -122,11 +122,10 @@ def evaluate_group(proposals: list[Proposal], golden: RtlDesign,
     """Evaluate candidates concurrently; failures isolate to their slot."""
 
     def one(proposal: Proposal):
-        if proposal.skipped or proposal.design is None:
+        if proposal.skipped:
             return None
         try:
-            return be.evaluate(proposal.design, golden, config,
-                               backend_id=config.kind)
+            return be.evaluate(proposal.design, golden, config)
         except Exception as exc:  # candidate-level failure never aborts the run
             return exc
 
@@ -171,7 +170,7 @@ def run(design: RtlDesign, config: RunConfig, out_dir: str,
         records: list[CandidateRecord] = []
         for i, (proposal, result) in enumerate(zip(proposals, results)):
             candidate_id = f"t{t}c{i}"
-            if proposal.skipped or proposal.design is None:
+            if proposal.skipped:
                 record = CandidateRecord(candidate_id, "", proposal.provenance,
                                          status=CANDIDATE_SKIPPED,
                                          note=proposal.rationale)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .dsl import RtlDesign, print_design
 from .rewrites import STRATEGY_FUNCTIONS, NotApplicable, apply_strategy
-from .skills import STRATEGIES, SkillLibrary, match
+from .skills import SkillLibrary, match
 from .timing import BottleneckDiagnosis
 
 PROVENANCE_SKILL = "skill-guided"
@@ -74,7 +74,10 @@ class Proposal:
     diagnosis: BottleneckDiagnosis | None
     skill_id: str | None = None
     rationale: str = ""
-    skipped: bool = False
+
+    @property
+    def skipped(self) -> bool:
+        return self.design is None
 
     @property
     def source(self) -> str:
@@ -154,7 +157,6 @@ def propose_group(parent: RtlDesign, diagnoses: list[BottleneckDiagnosis],
 
     # Exploration: catalog strategies not yet tried on the pattern, or the LLM.
     explore_cursor = 0
-    catalog = [s for s in STRATEGIES if s in STRATEGY_FUNCTIONS]
     while len(proposals) < n:
         diagnosis = diag_list[explore_cursor % len(diag_list)]
         explore_cursor += 1
@@ -166,7 +168,7 @@ def propose_group(parent: RtlDesign, diagnoses: list[BottleneckDiagnosis],
                                              proposal.strategy, diagnosis,
                                              rationale=proposal.rationale):
                 continue
-        for strategy in catalog:
+        for strategy in STRATEGY_FUNCTIONS:
             key = (pattern, strategy)
             if key in tried:
                 continue
@@ -180,7 +182,6 @@ def propose_group(parent: RtlDesign, diagnoses: list[BottleneckDiagnosis],
             # Exhausted: fill the remaining slots with explicit no-op markers.
             while len(proposals) < n:
                 proposals.append(Proposal(None, "skipped", None, diagnosis,
-                                          rationale="no untried applicable strategy",
-                                          skipped=True))
+                                          rationale="no untried applicable strategy"))
             break
     return proposals

@@ -370,15 +370,16 @@ def decomposition(design: RtlDesign, region=None) -> RtlDesign:
     raise NotApplicable("no decomposable assign in region")
 
 
+# Declaration order is the proposer's exploration order.
 STRATEGY_FUNCTIONS = {
-    "tree-rebalance": tree_rebalance,
-    "common-subexpression-extraction": common_subexpression_extraction,
     "condition-precompute": condition_precompute,
-    "mux-restructure": mux_restructure,
     "signal-replication": signal_replication,
     "selective-register-insertion": selective_register_insertion,
-    "constant-fold": constant_fold,
+    "tree-rebalance": tree_rebalance,
+    "common-subexpression-extraction": common_subexpression_extraction,
+    "mux-restructure": mux_restructure,
     "decomposition": decomposition,
+    "constant-fold": constant_fold,
 }
 
 

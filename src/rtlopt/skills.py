@@ -12,33 +12,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
+from .rewrites import STRATEGY_FUNCTIONS
+from .timing import ROOT_CAUSE_PATTERN
 from .trajectory import (
     CANDIDATE_SKIPPED,
     IterationRecord,
     canonical_json,
 )
 
-PATTERNS = (
-    "deep-decode-fsm",
-    "high-fanout-control",
-    "wide-comparison",
-    "mux-heavy-selection",
-    "wide-arithmetic",
-    "control-data-coupling",
-    "reconvergent-logic",
-    "excessive-depth",
-)
-
-STRATEGIES = (
-    "condition-precompute",
-    "signal-replication",
-    "selective-register-insertion",
-    "tree-rebalance",
-    "common-subexpression-extraction",
-    "mux-restructure",
-    "decomposition",
-    "constant-fold",
-)
+PATTERNS = frozenset(ROOT_CAUSE_PATTERN.values())
+STRATEGIES = tuple(STRATEGY_FUNCTIONS)
 
 TIER_HIGH = "high"
 TIER_MEDIUM = "medium"

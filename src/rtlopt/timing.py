@@ -15,11 +15,6 @@ from dataclasses import dataclass
 
 from .dsl import Expr, RtlDesign, reference_counts
 
-ROOT_CAUSES = frozenset({
-    "excessive-depth", "high-fanout", "control-data-coupling", "reconvergent",
-    "wide-arithmetic", "wide-compare", "mux-cascade",
-})
-
 # Diagnosis root cause -> skill-library pattern id.
 ROOT_CAUSE_PATTERN = {
     "wide-arithmetic": "wide-arithmetic",

@@ -5,6 +5,12 @@ PPA/SEC results, layer 3 the per-path events (diagnosis, transformation,
 outcome). State persists as canonical JSON (sorted keys, compact
 separators, shortest round-trip floats) so identical runs produce byte-
 identical files; design snapshots are stored content-addressed next to it.
+
+The store has one writer: the loop's own thread records every iteration
+after the evaluation pool has joined, so it holds no lock. ``state.json``
+is written when the run starts, when each iteration is finalized and when
+the run ends; beginning an iteration and recording its candidates only
+change the in-memory state.
 """
 
 from __future__ import annotations
@@ -12,7 +18,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import threading
 from dataclasses import dataclass, field
 
 from .backend import EvalResult
@@ -182,17 +187,16 @@ class RunState:
 class TrajectoryStore:
     """Durable run state under one directory: state.json + designs/<hash>.rtl.
 
-    Appends are serialized by an internal lock so N concurrent evaluators can
-    record candidates without loss; every mutation is persisted atomically
-    (write temp, fsync, rename) before the call returns.
+    Single-threaded: only the loop's thread calls it. ``persist`` and
+    ``finalize_iteration`` write ``state.json`` atomically (write temp,
+    fsync, rename); the other mutations wait for the next of those, so a
+    crash mid-iteration leaves the last finalized state on disk.
     """
 
     def __init__(self, root: str, state: RunState):
         self.root = root
         self.state = state
-        self._lock = threading.Lock()
         os.makedirs(os.path.join(root, "designs"), exist_ok=True)
-        self._persist_locked()
 
     # --- persistence ------------------------------------------------------
 
@@ -200,6 +204,7 @@ class TrajectoryStore:
     def state_path(self) -> str:
         return os.path.join(self.root, "state.json")
 
+    # Every write goes through this one name: perfbench counts writes on it.
     def _persist_locked(self):
         payload = canonical_json(self.state.to_dict())
         tmp = self.state_path + ".tmp"
@@ -210,18 +215,13 @@ class TrajectoryStore:
         os.replace(tmp, self.state_path)
 
     def persist(self):
-        with self._lock:
-            self._persist_locked()
+        self._persist_locked()
 
     @classmethod
     def load(cls, root: str) -> "TrajectoryStore":
         with open(os.path.join(root, "state.json")) as fh:
             state = RunState.from_dict(json.load(fh))
-        store = cls.__new__(cls)
-        store.root = root
-        store.state = state
-        store._lock = threading.Lock()
-        return store
+        return cls(root, state)
 
     def save_design(self, source: str) -> str:
         ref = design_hash(source)
@@ -238,48 +238,43 @@ class TrajectoryStore:
     # --- three-layer record keeping ---------------------------------------
 
     def begin_iteration(self, parent_id: str, group_size: int) -> IterationRecord:
-        with self._lock:
-            if self.state.status != STATUS_RUNNING:
-                raise TrajectoryError(f"run is {self.state.status}, not running")
-            record = IterationRecord(index=len(self.state.iterations),
-                                     parent_id=parent_id, group_size=group_size)
-            self.state.iterations.append(record)
-            self._persist_locked()
-            return record
+        if self.state.status != STATUS_RUNNING:
+            raise TrajectoryError(f"run is {self.state.status}, not running")
+        record = IterationRecord(index=len(self.state.iterations),
+                                 parent_id=parent_id, group_size=group_size)
+        self.state.iterations.append(record)
+        return record
 
     def record_candidate(self, iteration: IterationRecord, record: CandidateRecord):
-        with self._lock:
-            if iteration.finalized:
-                raise TrajectoryError("iteration already finalized")
-            if len(iteration.candidates) >= iteration.group_size:
-                raise TrajectoryError(
-                    f"group already holds {iteration.group_size} candidates")
-            if any(c.candidate_id == record.candidate_id for c in iteration.candidates):
-                raise TrajectoryError(f"duplicate candidate id {record.candidate_id!r}")
-            iteration.candidates.append(record)
-            self._persist_locked()
+        if iteration.finalized:
+            raise TrajectoryError("iteration already finalized")
+        if len(iteration.candidates) >= iteration.group_size:
+            raise TrajectoryError(
+                f"group already holds {iteration.group_size} candidates")
+        if any(c.candidate_id == record.candidate_id for c in iteration.candidates):
+            raise TrajectoryError(f"duplicate candidate id {record.candidate_id!r}")
+        iteration.candidates.append(record)
 
     def finalize_iteration(self, iteration: IterationRecord, stats: GroupStats,
                            selected: str | None):
-        with self._lock:
-            if len(iteration.candidates) < iteration.group_size:
+        if len(iteration.candidates) < iteration.group_size:
+            raise TrajectoryError(
+                f"only {len(iteration.candidates)}/{iteration.group_size} "
+                "candidates recorded")
+        if selected is not None:
+            match = [c for c in iteration.candidates if c.candidate_id == selected]
+            if not match or not match[0].sec_pass:
                 raise TrajectoryError(
-                    f"only {len(iteration.candidates)}/{iteration.group_size} "
-                    "candidates recorded")
-            if selected is not None:
-                match = [c for c in iteration.candidates if c.candidate_id == selected]
-                if not match or not match[0].sec_pass:
-                    raise TrajectoryError(
-                        f"selected candidate {selected!r} is not a SEC-passing member")
-            # Write advantages back onto the passing candidates, in group order.
-            passers = [c for c in iteration.candidates if c.sec_pass]
-            if stats.advantages and len(stats.advantages) == len(passers):
-                for cand, adv in zip(passers, stats.advantages):
-                    cand.advantage = adv
-            iteration.group_stats = stats
-            iteration.selected = selected
-            iteration.finalized = True
-            self._persist_locked()
+                    f"selected candidate {selected!r} is not a SEC-passing member")
+        # Write advantages back onto the passing candidates, in group order.
+        passers = [c for c in iteration.candidates if c.sec_pass]
+        if stats.advantages and len(stats.advantages) == len(passers):
+            for cand, adv in zip(passers, stats.advantages):
+                cand.advantage = adv
+        iteration.group_stats = stats
+        iteration.selected = selected
+        iteration.finalized = True
+        self._persist_locked()
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,7 @@ def test_evaluate_group_isolates_failures(bcfg):
     proposals = [
         Proposal(design, "rule", "tree-rebalance", None),
         Proposal(mismatched, "rule", "tree-rebalance", None),
-        Proposal(None, "skipped", None, None, skipped=True),
+        Proposal(None, "skipped", None, None),
     ]
     results = evaluate_group(proposals, design, bcfg)
     assert results[0].sec_pass
@@ -117,7 +117,7 @@ def test_run_respects_iteration_budget(tmp_path):
     state = RunState.from_dict(json.loads(
         open(os.path.join(result.run_dir, "state.json")).read()))
     assert len(state.iterations) == 1
-    assert state.status in ("budget-exhausted", "converged")
+    assert state.status == "budget-exhausted"
 
 
 def test_state_reserialization_byte_identical(tmp_path):

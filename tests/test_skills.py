@@ -29,7 +29,7 @@ def _cand(cid, pattern, strategy, advantage, sec_pass=True, status="ok"):
     record = CandidateRecord(
         candidate_id=cid, design_ref="x" * 16, proposer_kind="rule",
         eval=EvalResult(PpaMetrics(-0.1, -0.1, 96.0), sec_pass, "exhaustive",
-                        TimingReport(clock_ns=0.5, endpoints=()), "builtin", 0.0),
+                        TimingReport(clock_ns=0.5, endpoints=()), "builtin"),
         score=CandidateScore(0, 0, 0, 0, -0.1, sec_pass),
         advantage=advantage if sec_pass else None,
         status=status)

@@ -1,11 +1,11 @@
 """Three-layer trajectory store: persistence, validation, derived metrics."""
 
-import json
-import threading
-
 import pytest
 
+from corpus import CHAIN_ADDER_8
 from rtlopt.backend import EvalResult, PpaMetrics
+from rtlopt.dsl import parse
+from rtlopt.orchestrator import RunConfig, run
 from rtlopt.scoring import CandidateScore, GroupStats, group_advantage
 from rtlopt.timing import TimingReport
 from rtlopt.trajectory import (
@@ -25,7 +25,7 @@ from rtlopt.trajectory import (
 
 def _eval(sec_pass=True):
     return EvalResult(PpaMetrics(-0.1, -0.1, 96.0), sec_pass, "exhaustive",
-                      TimingReport(clock_ns=0.5, endpoints=()), "builtin", 0.0)
+                      TimingReport(clock_ns=0.5, endpoints=()), "builtin")
 
 
 def _cscore(value):
@@ -113,29 +113,28 @@ def test_store_validation_errors(tmp_path):
         store.finalize_iteration(it2, GroupStats(0, 0, ()), None)  # short group
 
 
-def test_concurrent_candidate_recording(tmp_path):
-    n = 16
-    store = TrajectoryStore(str(tmp_path / "r"),
-                            RunState(run_id="r", design_name="d", config={}))
-    it = store.begin_iteration("p", n)
-    errors = []
+def test_run_writes_state_once_per_finalized_iteration(tmp_path, monkeypatch):
+    iterations = 3
+    writes = []  # (iterations recorded, status) at each state.json write
+    persist = TrajectoryStore._persist_locked
+    finalize = TrajectoryStore.finalize_iteration
 
-    def worker(i):
-        try:
-            store.record_candidate(it, _cand(f"c{i}", -0.01 * i))
-        except Exception as exc:  # noqa: BLE001 - collected for assertion
-            errors.append(exc)
+    def counted(store):
+        persist(store)
+        writes.append((len(store.state.iterations), store.state.status))
 
-    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert not errors
-    assert sorted(c.candidate_id for c in it.candidates) == sorted(
-        f"c{i}" for i in range(n))
-    on_disk = json.loads(open(store.state_path).read())
-    assert len(on_disk["iterations"][0]["candidates"]) == n
+    def checked(store, *args):
+        finalize(store, *args)
+        with open(store.state_path) as fh:
+            assert fh.read() == canonical_json(store.state.to_dict())
+
+    monkeypatch.setattr(TrajectoryStore, "_persist_locked", counted)
+    monkeypatch.setattr(TrajectoryStore, "finalize_iteration", checked)
+    run(parse(CHAIN_ADDER_8, "chain.rtl"), RunConfig(iterations=iterations),
+        str(tmp_path))
+    assert len(writes) == iterations + 2
+    assert writes == [(i, "running") for i in range(iterations + 1)] + [
+        (iterations, "budget-exhausted")]
 
 
 def test_best_so_far_series():
