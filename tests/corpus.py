@@ -187,3 +187,22 @@ endmodule""",
   assign y = s ? (a + b) : (a - b);
 endmodule""",
 ]
+
+# --- bounded non-equivalent pairs (over the exhaustive budget) --------------
+# 32 input bits x 2 frames, so SEC samples; each pair differs on one input
+# value only, and the sampled check must still find it.
+
+BOUNDED_NONEQUIVALENT_PAIRS = [
+    # differs at all-ones only: no random sample reaches it, a directed row does
+    ("module m(input [31:0] x, output [31:0] y); assign y = x; endmodule",
+     """module m(input [31:0] x, output [31:0] y);
+  assign y = (x == 32'hFFFFFFFF) ? 32'd0 : x;
+endmodule"""),
+    # differs when the upper half is a candidate-only constant: no directed
+    # row reaches it, and the first random sample that does lies past the
+    # first SEC chunk
+    ("module m(input [31:0] x, output [31:0] y); assign y = x; endmodule",
+     """module m(input [31:0] x, output [31:0] y);
+  assign y = (x[31:16] == 16'hB0BF) ? 32'd0 : x;
+endmodule"""),
+]

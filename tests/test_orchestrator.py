@@ -5,8 +5,9 @@ import os
 
 import pytest
 
-from corpus import CHAIN_ADDER_8
-from rtlopt.dsl import parse
+from corpus import CHAIN_ADDER_8, REWRITE_CORPUS
+from rtlopt.backend import GoldenSec
+from rtlopt.dsl import CompiledDesign, parse
 from rtlopt.orchestrator import (
     BaselineEvaluationError,
     RunConfig,
@@ -105,10 +106,34 @@ def test_evaluate_group_isolates_failures(bcfg):
         Proposal(mismatched, "rule", "tree-rebalance", None),
         Proposal(None, "skipped", None, None),
     ]
-    results = evaluate_group(proposals, design, bcfg)
+    results = evaluate_group(proposals, GoldenSec(design), bcfg)
     assert results[0].sec_pass
     assert isinstance(results[1], Exception)
     assert results[2] is None
+
+
+@pytest.mark.parametrize("source", [CHAIN_ADDER_8, REWRITE_CORPUS[4]],
+                         ids=["bounded", "exhaustive"])
+def test_run_simulates_golden_once_per_frame_count(source, tmp_path, monkeypatch):
+    """SEC's golden traces are built per run, not per candidate, and a
+    second run() on the same design object builds its own."""
+    design = parse(source, "d.rtl")
+    real_run = CompiledDesign.run
+    sims = []  # (run index, golden?, frames)
+
+    def counting_run(self, input_arrays, frames):
+        sims.append((len(runs), self.design is design, frames))
+        return real_run(self, input_arrays, frames)
+
+    monkeypatch.setattr(CompiledDesign, "run", counting_run)
+    runs = []
+    for name in ("one", "two"):
+        runs.append(run(design, _config(iterations=2), str(tmp_path / name)))
+    for r in range(2):
+        golden = [f for i, is_golden, f in sims if i == r and is_golden]
+        candidate = [f for i, is_golden, f in sims if i == r and not is_golden]
+        assert golden and sorted(golden) == sorted(set(candidate))
+        assert len(candidate) > len(golden)
 
 
 def test_run_respects_iteration_budget(tmp_path):

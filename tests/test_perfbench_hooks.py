@@ -4,6 +4,8 @@ perfbench/tracing.py patches functions by name in rtlopt's modules; a rename
 there would otherwise only show when the benchmark runs.
 """
 
+import json
+import os
 import sys
 from pathlib import Path
 
@@ -30,10 +32,13 @@ def test_install_then_remove_restores_every_patched_name():
 
 
 def test_traced_run_records_trajectory_layers(tmp_path):
-    tracer = Tracer(set())
+    """Every trajectory method has spans, and SEC splits into one golden
+    simulation, candidate simulations and one check per evaluated candidate."""
+    design = parse(CHAIN_ADDER_8, "chain.rtl")
+    tracer = Tracer({id(design)})
     tracer.install()
     try:
-        run(parse(CHAIN_ADDER_8, "chain.rtl"), RunConfig(iterations=1), str(tmp_path))
+        result = run(design, RunConfig(iterations=1), str(tmp_path))
     finally:
         tracer.remove()
     assert tracer.counts[0, "trajectory.writes"] == 3
@@ -41,3 +46,12 @@ def test_traced_run_records_trajectory_layers(tmp_path):
     for method in ("begin_iteration", "record_candidate", "finalize_iteration",
                    "persist", "save_design"):
         assert layers[f"trajectory.{method}"]["calls"] > 0, method
+    with open(os.path.join(result.run_dir, "state.json")) as fh:
+        state = json.load(fh)
+    evaluated = sum(c["status"] != "skipped"
+                    for it in state["iterations"] for c in it["candidates"])
+    assert evaluated > 0
+    assert tracer.counts[0, "backend.sec.checks"] == evaluated
+    assert layers["backend.sec"]["calls"] == evaluated
+    assert layers["backend.sec.golden_sim"]["calls"] == 1
+    assert layers["backend.sec.candidate_sim"]["calls"] >= 1

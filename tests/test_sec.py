@@ -1,19 +1,39 @@
 """SEC oracle: corpus classification, counterexample replay, properties."""
 
 import itertools
+import time
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
-from corpus import CHAIN_ADDER_8, EQUIVALENT_PAIRS, NONEQUIVALENT_PAIRS
+from corpus import (
+    BOUNDED_NONEQUIVALENT_PAIRS,
+    CHAIN_ADDER_8,
+    EQUIVALENT_PAIRS,
+    NONEQUIVALENT_PAIRS,
+)
 from rtlopt.backend import (
-    PortInterfaceMismatch,
     SEC_BOUNDED,
+    SEC_CHUNK,
     SEC_EXHAUSTIVE,
+    SEC_SAMPLE_COUNT,
     SEC_SKIPPED_BASELINE,
+    GoldenSec,
+    PortInterfaceMismatch,
     check_equivalence,
     evaluate,
 )
-from rtlopt.dsl import parse, simulate
+from rtlopt.dsl import CompiledDesign, parse, simulate
+
+
+def _assert_replays(golden, candidate, cex):
+    trace = list(cex.input_trace)
+    g = simulate(golden, trace, len(trace))
+    c = simulate(candidate, trace, len(trace))
+    assert g[cex.frame][cex.output] == cex.golden_value
+    assert c[cex.frame][cex.output] == cex.candidate_value
+    assert cex.golden_value != cex.candidate_value
 
 
 @pytest.mark.parametrize("golden_src,candidate_src", EQUIVALENT_PAIRS)
@@ -31,14 +51,76 @@ def test_nonequivalent_pairs_fail_and_replay(golden_src, candidate_src, bcfg):
     verdict = check_equivalence(golden, candidate, bcfg)
     assert verdict.mode == SEC_EXHAUSTIVE
     assert not verdict.passed
-    cex = verdict.counterexample
-    assert cex is not None
-    trace = list(cex.input_trace)
-    g = simulate(golden, trace, len(trace))
-    c = simulate(candidate, trace, len(trace))
-    assert g[cex.frame][cex.output] == cex.golden_value
-    assert c[cex.frame][cex.output] == cex.candidate_value
-    assert cex.golden_value != cex.candidate_value
+    assert verdict.counterexample is not None
+    _assert_replays(golden, candidate, verdict.counterexample)
+
+
+@pytest.mark.parametrize("golden_src,candidate_src", BOUNDED_NONEQUIVALENT_PAIRS)
+def test_bounded_nonequivalent_pairs_fail_and_replay(golden_src, candidate_src, bcfg):
+    golden = parse(golden_src)
+    candidate = parse(candidate_src)
+    verdict = check_equivalence(golden, candidate, bcfg)
+    assert verdict.mode == SEC_BOUNDED
+    assert not verdict.passed
+    assert verdict.counterexample is not None
+    _assert_replays(golden, candidate, verdict.counterexample)
+
+
+def test_directed_rows_precede_the_random_sample():
+    golden = parse(BOUNDED_NONEQUIVALENT_PAIRS[0][0])
+    ref = GoldenSec(golden).reference(2)
+    directed = ref.rows - SEC_SAMPLE_COUNT
+    assert directed > 0
+    head = {int(v) for f in range(2) for v in ref.inputs[f]["x"][:directed]}
+    assert {0, 1, 0xFFFFFFFF, 0x80000000} <= head
+
+
+def test_counterexample_past_the_first_chunk_replays(bcfg):
+    """The pair's only mismatching samples lie in a later chunk, so a
+    counterexample indexed within its chunk alone would not replay."""
+    golden_src, candidate_src = BOUNDED_NONEQUIVALENT_PAIRS[1]
+    golden, candidate = parse(golden_src), parse(candidate_src)
+    upper = 0xB0BF  # the candidate's constant
+    ref = GoldenSec(golden).reference(2)
+    hits = np.flatnonzero(np.logical_or.reduce(
+        [vec["x"] >> np.uint64(16) == upper for vec in ref.inputs]))
+    assert hits.size and hits[0] >= SEC_CHUNK
+    verdict = check_equivalence(golden, candidate, bcfg)
+    assert verdict.mode == SEC_BOUNDED and not verdict.passed
+    _assert_replays(golden, candidate, verdict.counterexample)
+    assert any(vec["x"] >> 16 == upper for vec in verdict.counterexample.input_trace)
+
+
+def test_context_reuses_stimulus_and_golden_traces(bcfg):
+    golden = parse(CHAIN_ADDER_8)
+    sec = GoldenSec(golden)
+    same = parse(CHAIN_ADDER_8.replace("((a + b) + c) + d", "(a + b) + (c + d)"))
+    broken = parse(CHAIN_ADDER_8.replace("((a + b) + c) + d", "((a + b) + c) - d"))
+    for candidate, passed in ((same, True), (broken, False), (same, True)):
+        with_sec = check_equivalence(golden, candidate, bcfg, sec)
+        assert with_sec == check_equivalence(golden, candidate, bcfg)
+        assert with_sec.passed is passed
+    assert sec.reference(2) is sec.reference(2)
+
+
+def test_context_builds_each_reference_once_across_threads(monkeypatch):
+    """The evaluation pool's threads ask for the same frame count at once;
+    only one of them simulates the golden."""
+    golden = parse(CHAIN_ADDER_8)
+    sec = GoldenSec(golden)
+    real_run = CompiledDesign.run
+    sims = []
+
+    def slow_run(self, input_arrays, frames):
+        sims.append(frames)
+        time.sleep(0.05)  # hold the build open while the other threads arrive
+        return real_run(self, input_arrays, frames)
+
+    monkeypatch.setattr(CompiledDesign, "run", slow_run)
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        refs = list(pool.map(sec.reference, [2, 2, 2, 2, 3]))
+    assert sorted(sims) == [2, 3]
+    assert all(ref is refs[0] for ref in refs[:4])
 
 
 @pytest.mark.parametrize("golden_src,candidate_src",
