@@ -429,13 +429,13 @@ def check_equivalence(golden: RtlDesign, candidate: RtlDesign,
     return SecVerdict(True, ref.mode)
 
 
-def evaluate(design: RtlDesign, golden: RtlDesign | None,
-             config: BackendConfig, sec: GoldenSec | None = None) -> EvalResult:
-    """Synthesize plus (optionally) check equivalence against the golden."""
+def evaluate(design: RtlDesign, config: BackendConfig,
+             sec: GoldenSec | None = None) -> EvalResult:
+    """Synthesize plus, given a SEC context, check equivalence against its golden."""
     metrics, report = synthesize(design, config)
-    if golden is None:
+    if sec is None:
         return EvalResult(metrics, True, SEC_SKIPPED_BASELINE, report, config.kind)
-    verdict = check_equivalence(golden, design, config, sec)
+    verdict = check_equivalence(sec.golden, design, config, sec)
     return EvalResult(metrics, verdict.passed, verdict.mode, report, config.kind)
 
 

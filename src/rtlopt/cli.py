@@ -113,8 +113,8 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        golden = _load_design(args.golden) if args.golden else None
-        result = be.evaluate(design, golden, config.backend)
+        sec = be.GoldenSec(_load_design(args.golden)) if args.golden else None
+        result = be.evaluate(design, config.backend, sec)
     except be.PortInterfaceMismatch as exc:
         print(f"error: port interface mismatch: {exc}", file=sys.stderr)
         return EXIT_BASELINE
@@ -122,7 +122,7 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BASELINE
     payload = result.metrics.to_dict()
-    if golden is not None:
+    if sec is not None:
         payload["sec_pass"] = result.sec_pass
         payload["sec_mode"] = result.sec_mode
     print(json.dumps(payload, indent=2, sort_keys=True))

@@ -59,7 +59,9 @@ class Expr:
 
     ``width`` is the result width in bits; arithmetic is unsigned modulo
     2**width and binary operands always have equal widths (no implicit
-    extension). ``loc`` is the (line, col) of the node's defining token.
+    extension). ``loc`` is the (line, col) of the node's defining token;
+    equality and hashing ignore it, so two nodes are equal exactly when they
+    denote the same expression.
     """
 
     kind: str
@@ -70,15 +72,7 @@ class Expr:
     amount: int | None = None     # shl / shr
     msb: int | None = None        # slice
     lsb: int | None = None        # slice
-    loc: tuple[int, int] = (0, 0)
-
-    def key(self):
-        """Structural identity, ignoring source locations."""
-        return (
-            self.kind, self.width, self.name, self.value,
-            self.amount, self.msb, self.lsb,
-            tuple(a.key() for a in self.args),
-        )
+    loc: tuple[int, int] = field(default=(0, 0), compare=False)
 
     def node_count(self) -> int:
         return 1 + sum(a.node_count() for a in self.args)
@@ -167,15 +161,6 @@ class RtlDesign:
             yield a.target, a.expr
         for r in self.registers:
             yield r.name, r.next
-
-    def key(self):
-        return (
-            self.name,
-            tuple(self.ports),
-            tuple(self.nets),
-            tuple((r.name, r.width, r.next.key()) for r in self.registers),
-            tuple((a.target, a.expr.key()) for a in self.assigns),
-        )
 
     def port_signature(self):
         return tuple((p.name, p.direction, p.width) for p in self.ports)

@@ -89,7 +89,12 @@ class LlmClient:
         design = parse(blocks[0], filename=parent.filename)
         if design.port_signature() != parent.port_signature():
             raise ValueError("rewritten module changes the port interface")
-        return design
+        # The canonical text is what gets stored, synthesized and diagnosed,
+        # so line regions found on a promoted reply match its stored lines.
+        canonical = print_design(design)
+        if design.source == canonical:
+            return design
+        return parse(canonical, filename=parent.filename)
 
     def propose(self, parent: RtlDesign, diagnosis: BottleneckDiagnosis | None,
                 library: SkillLibrary) -> Proposal | None:

@@ -130,7 +130,7 @@ def evaluate_group(proposals: list[Proposal], sec: be.GoldenSec,
         if proposal.skipped:
             return None
         try:
-            return be.evaluate(proposal.design, sec.golden, config, sec)
+            return be.evaluate(proposal.design, config, sec)
         except Exception as exc:  # candidate-level failure never aborts the run
             return exc
 
@@ -184,13 +184,13 @@ def run(design: RtlDesign, config: RunConfig, out_dir: str,
                                          status=CANDIDATE_SKIPPED,
                                          note=proposal.rationale)
             elif isinstance(result, Exception):
-                ref = store.save_design(proposal.source)
+                ref = store.save_design(proposal.design.source)
                 record = CandidateRecord(candidate_id, ref, proposal.provenance,
                                          skill_id=proposal.skill_id,
                                          status=CANDIDATE_EVAL_ERROR,
                                          note=str(result))
             else:
-                ref = store.save_design(proposal.source)
+                ref = store.save_design(proposal.design.source)
                 cand_score = score(result.metrics, baseline_metrics,
                                    config.weights, sec_pass=result.sec_pass)
                 record = CandidateRecord(candidate_id, ref, proposal.provenance,
@@ -211,7 +211,7 @@ def run(design: RtlDesign, config: RunConfig, out_dir: str,
 
         passer_scores = [r.score.score for r in records if r.sec_pass]
         stats = group_advantage(passer_scores)
-        selected = select_next(None, [r for r in records if r.status == CANDIDATE_OK])
+        selected = select_next([r for r in records if r.status == CANDIDATE_OK])
         selected_id = selected.candidate_id if selected is not None else None
         store.finalize_iteration(iteration, stats, selected_id)
 

@@ -79,10 +79,6 @@ class Proposal:
     def skipped(self) -> bool:
         return self.design is None
 
-    @property
-    def source(self) -> str:
-        return print_design(self.design) if self.design else ""
-
 
 def _region_of(diagnosis: BottleneckDiagnosis | None):
     if diagnosis is None:
@@ -110,7 +106,11 @@ def _try_strategy(parent: RtlDesign, strategy: str,
 def propose_group(parent: RtlDesign, diagnoses: list[BottleneckDiagnosis],
                   library: SkillLibrary, config: ProposerConfig,
                   llm_client=None) -> list[Proposal]:
-    """Build N proposals: skill-guided slots first, then exploratory ones."""
+    """Build N proposals: skill-guided slots first, then exploratory ones.
+
+    Every proposal's ``design.source`` is its canonical text, so duplicates
+    are found by comparing sources.
+    """
     n = config.n_candidates
     skill_slots = math.ceil((1.0 - config.exploration_fraction) * n)
     proposals: list[Proposal] = []
@@ -119,12 +119,9 @@ def propose_group(parent: RtlDesign, diagnoses: list[BottleneckDiagnosis],
 
     def emit(design: RtlDesign | None, provenance: str, strategy, diagnosis,
              skill_id=None, rationale="") -> bool:
-        if design is None:
+        if design is None or design.source in seen_sources:
             return False
-        source = print_design(design)
-        if source in seen_sources:
-            return False
-        seen_sources.add(source)
+        seen_sources.add(design.source)
         proposals.append(Proposal(design, provenance, strategy, diagnosis,
                                   skill_id=skill_id, rationale=rationale))
         return True

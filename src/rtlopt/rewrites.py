@@ -1,8 +1,10 @@
 """Rule-based, equivalence-preserving RTL transformations.
 
 Each strategy edits the design AST and the result is re-printed and
-re-parsed, so every candidate goes back through full elaboration checks.
-The transformations are intended to be sequentially equivalent to their
+re-parsed, so every candidate goes back through full elaboration checks
+and its ``source`` is its canonical text. Subexpressions are found and
+replaced by value: ``Expr`` equality ignores source locations. The
+transformations are intended to be sequentially equivalent to their
 parent; the evaluation backend still verifies every candidate (the test
 suite proves the catalog against the exhaustive equivalence oracle).
 """
@@ -10,6 +12,7 @@ suite proves the catalog against the exhaustive equivalence oracle).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 from .dsl import (
@@ -22,6 +25,7 @@ from .dsl import (
     eval_expr,
     parse,
     print_design,
+    print_expr,
     reference_counts,
 )
 
@@ -59,25 +63,28 @@ def _in_region(line: int, region: tuple[int, int] | None) -> bool:
 
 
 def _statements(design: RtlDesign, region: tuple[int, int] | None):
-    """(kind, index, target, expr) for statements whose line falls in region."""
+    """(kind, index, expr) for statements whose line falls in region."""
     out = []
     for i, a in enumerate(design.assigns):
         if _in_region(a.loc[0], region):
-            out.append(("assign", i, a.target, a.expr))
+            out.append(("assign", i, a.expr))
     for i, r in enumerate(design.registers):
         if _in_region(r.loc[0], region):
-            out.append(("reg", i, r.name, r.next))
+            out.append(("reg", i, r.next))
     return out
 
 
-def _replace_stmt_expr(design: RtlDesign, kind: str, index: int, expr: Expr) -> RtlDesign:
-    if kind == "assign":
-        assigns = list(design.assigns)
-        assigns[index] = replace(assigns[index], expr=expr)
-        return _rebuild(design, assigns=assigns)
-    registers = list(design.registers)
-    registers[index] = replace(registers[index], next=expr)
-    return _rebuild(design, registers=registers)
+def _map_statements(design: RtlDesign, fn, statement: tuple[str, int] | None = None):
+    """(assigns, registers) lists with ``fn`` applied to the expression of the
+    ``(kind, index)`` statement, or of every statement when it is None."""
+    def hit(kind: str, index: int) -> bool:
+        return statement is None or statement == (kind, index)
+
+    assigns = [replace(a, expr=fn(a.expr)) if hit("assign", i) else a
+               for i, a in enumerate(design.assigns)]
+    registers = [replace(r, next=fn(r.next)) if hit("reg", i) else r
+                 for i, r in enumerate(design.registers)]
+    return assigns, registers
 
 
 def _map_expr(expr: Expr, fn) -> Expr:
@@ -88,10 +95,26 @@ def _map_expr(expr: Expr, fn) -> Expr:
     return node if replacement is None else replacement
 
 
-def _replace_by_key(expr: Expr, key, substitute: Expr) -> Expr:
-    def fn(node: Expr):
-        return substitute if node.key() == key else None
-    return _map_expr(expr, fn)
+def _substitute(old: Expr, new: Expr):
+    """An expression map that replaces every subexpression equal to ``old``."""
+    return lambda expr: _map_expr(expr, lambda node: new if node == old else None)
+
+
+def _replace_in(design: RtlDesign, statement: tuple[str, int],
+                old: Expr, new: Expr) -> RtlDesign:
+    """Rebuild with ``old`` replaced by ``new`` in one ``(kind, index)`` statement."""
+    assigns, registers = _map_statements(design, _substitute(old, new), statement)
+    return _rebuild(design, registers=registers, assigns=assigns)
+
+
+def _hoist(design: RtlDesign, sub: Expr, base: str) -> RtlDesign:
+    """Rebuild with every occurrence of ``sub`` read from a new wire driving it."""
+    name = _fresh_name(design, base)
+    assigns, registers = _map_statements(
+        design, _substitute(sub, Expr("var", sub.width, name=name)))
+    assigns.append(Assign(name, sub))
+    return _rebuild(design, nets=list(design.nets) + [Net(name, sub.width)],
+                    registers=registers, assigns=assigns)
 
 
 # --- individual strategies -------------------------------------------------
@@ -114,7 +137,7 @@ def _balanced(operands: list[Expr], op: str, width: int, loc) -> Expr:
 
 def tree_rebalance(design: RtlDesign, region=None) -> RtlDesign:
     """Reassociate the first skewed chain of an associative op found in region."""
-    for kind, index, target, root in _statements(design, region):
+    for kind, index, root in _statements(design, region):
         for node in root.walk():
             if node.kind not in ASSOCIATIVE_OPS:
                 continue
@@ -122,58 +145,28 @@ def tree_rebalance(design: RtlDesign, region=None) -> RtlDesign:
             if len(operands) < 3:
                 continue
             balanced = _balanced(operands, node.kind, node.width, node.loc)
-            if balanced.key() == node.key():
-                continue
-            new_root = _replace_by_key(root, node.key(), balanced)
-            return _replace_stmt_expr(design, kind, index, new_root)
+            if balanced != node:
+                return _replace_in(design, (kind, index), node, balanced)
     raise NotApplicable("no reassociable operator chain in region")
 
 
 def common_subexpression_extraction(design: RtlDesign, region=None) -> RtlDesign:
     """Factor the largest repeated subexpression into a shared wire."""
-    counts: dict = {}
-    samples: dict = {}
-    for _, _, _, root in _statements(design, None):
-        for node in root.walk():
-            if node.kind in ("var", "const"):
-                continue
-            k = node.key()
-            counts[k] = counts.get(k, 0) + 1
-            samples[k] = node
-    repeated = [(samples[k].node_count(), str(k), k) for k, c in counts.items() if c >= 2]
+    counts = Counter(node for _, root in design.all_exprs() for node in root.walk()
+                     if node.kind not in ("var", "const"))
+    repeated = [node for node, c in counts.items() if c >= 2]
     if not repeated:
         raise NotApplicable("no repeated subexpression")
-    _, _, key = max(repeated)
-    sub = samples[key]
-    name = _fresh_name(design, "cse")
-    var = Expr("var", sub.width, name=name)
-    assigns = [replace(a, expr=_replace_by_key(a.expr, key, var)) for a in design.assigns]
-    registers = [replace(r, next=_replace_by_key(r.next, key, var))
-                 for r in design.registers]
-    assigns.append(Assign(name, sub))
-    return _rebuild(design, nets=list(design.nets) + [Net(name, sub.width)],
-                    registers=registers, assigns=assigns)
+    sub = max(repeated, key=lambda node: (node.node_count(), print_expr(node)))
+    return _hoist(design, sub, "cse")
 
 
 def condition_precompute(design: RtlDesign, region=None) -> RtlDesign:
     """Hoist a computed mux condition into a named 1-bit wire."""
-    for kind, index, target, root in _statements(design, region):
+    for _, _, root in _statements(design, region):
         for node in root.walk():
-            if node.kind != "mux":
-                continue
-            cond = node.args[0]
-            if cond.kind in ("var", "const"):
-                continue
-            name = _fresh_name(design, "cond")
-            var = Expr("var", 1, name=name)
-            key = cond.key()
-            assigns = [replace(a, expr=_replace_by_key(a.expr, key, var))
-                       for a in design.assigns]
-            registers = [replace(r, next=_replace_by_key(r.next, key, var))
-                         for r in design.registers]
-            assigns.append(Assign(name, cond))
-            return _rebuild(design, nets=list(design.nets) + [Net(name, 1)],
-                            registers=registers, assigns=assigns)
+            if node.kind == "mux" and node.args[0].kind not in ("var", "const"):
+                return _hoist(design, node.args[0], "cond")
     raise NotApplicable("no mux with a computed condition in region")
 
 
@@ -228,7 +221,7 @@ def _build_mux_tree(arms: list[tuple[Expr, Expr]], default: Expr, width: int) ->
 
 def mux_restructure(design: RtlDesign, region=None) -> RtlDesign:
     """Balance a linear priority mux chain over one-hot equality selects."""
-    for kind, index, target, root in _statements(design, region):
+    for kind, index, root in _statements(design, region):
         for node in root.walk():
             if node.kind != "mux":
                 continue
@@ -236,10 +229,8 @@ def mux_restructure(design: RtlDesign, region=None) -> RtlDesign:
             if len(arms) < 3 or not _one_hot_chain(arms):
                 continue
             tree = _build_mux_tree(arms, default, node.width)
-            if tree.key() == node.key():
-                continue
-            new_root = _replace_by_key(root, node.key(), tree)
-            return _replace_stmt_expr(design, kind, index, new_root)
+            if tree != node:
+                return _replace_in(design, (kind, index), node, tree)
     raise NotApplicable("no restructurable mux chain in region")
 
 
@@ -254,9 +245,7 @@ def _reroute_sinks(design: RtlDesign, name: str, replica: str, keep: int):
                 return replace(node, name=replica)
         return None
 
-    assigns = [replace(a, expr=_map_expr(a.expr, fn)) for a in design.assigns]
-    registers = [replace(r, next=_map_expr(r.next, fn)) for r in design.registers]
-    return assigns, registers
+    return _map_statements(design, lambda expr: _map_expr(expr, fn))
 
 
 def signal_replication(design: RtlDesign, region=None) -> RtlDesign:
@@ -334,25 +323,15 @@ def _fold_node(node: Expr) -> Expr | None:
 
 
 def constant_fold(design: RtlDesign, region=None) -> RtlDesign:
-    changed = False
-
-    def fold(root: Expr) -> Expr:
-        nonlocal changed
-        out = _map_expr(root, _fold_node)
-        if out.key() != root.key():
-            changed = True
-        return out
-
-    assigns = [replace(a, expr=fold(a.expr)) for a in design.assigns]
-    registers = [replace(r, next=fold(r.next)) for r in design.registers]
-    if not changed:
+    assigns, registers = _map_statements(design, lambda expr: _map_expr(expr, _fold_node))
+    if assigns == list(design.assigns) and registers == list(design.registers):
         raise NotApplicable("nothing to fold")
     return _rebuild(design, registers=registers, assigns=assigns)
 
 
 def decomposition(design: RtlDesign, region=None) -> RtlDesign:
     """Split one deep assign into staged intermediate wires (no registers)."""
-    for kind, index, target, root in _statements(design, region):
+    for kind, index, root in _statements(design, region):
         if kind != "assign" or root.node_count() < 4:
             continue
         for arg_index, arg in enumerate(root.args):

@@ -98,26 +98,12 @@ def score(metrics: PpaMetrics, baseline: PpaMetrics,
     return CandidateScore(wns_norm, tns_norm, area_norm, penalty, total, sec_pass)
 
 
-def select_next(parent, group):
-    """Best SEC-passing candidate by score, or the parent when none pass.
-
-    ``group`` entries expose ``sec_pass`` and a ``score`` that is a number or
-    a ``CandidateScore``; ties break toward the earliest index.
-    """
-    best = None
-    best_key = None
-    for index, candidate in enumerate(group):
-        if not candidate.sec_pass:
-            continue
-        key = (_score_value(candidate), index)
-        if best_key is None or key < best_key:
-            best, best_key = candidate, key
-    return parent if best is None else best
-
-
-def _score_value(candidate) -> float:
-    inner = candidate.score
-    return float(inner.score if isinstance(inner, CandidateScore) else inner)
+def select_next(group):
+    """The SEC-passing candidate with the lowest score, earliest on ties, or
+    None when none pass. Entries expose ``sec_pass`` and a ``CandidateScore``
+    ``score``."""
+    passing = (candidate for candidate in group if candidate.sec_pass)
+    return min(passing, key=lambda candidate: candidate.score.score, default=None)
 
 
 def group_advantage(scores: list[float]) -> GroupStats:

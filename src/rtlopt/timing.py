@@ -11,6 +11,7 @@ adapters must normalize into:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from .dsl import Expr, RtlDesign, reference_counts
@@ -192,22 +193,28 @@ def _endpoint_cone(path: TimingPath, design: RtlDesign) -> Expr | None:
 
 
 def _cone_var_counts(expr: Expr, design: RtlDesign) -> dict[str, int]:
-    """Occurrences of each source signal in the full transitive cone."""
-    counts: dict[str, int] = {}
-    assign_by_target = {a.target: a for a in design.assigns}
-    reg_names = design.register_names()
+    """Occurrences of each source signal in the full transitive cone.
 
-    def walk(e: Expr):
+    A wire contributes its own cone's counts at every reference; each wire's
+    cone is counted once, so reconvergent ladders stay linear.
+    """
+    drivers = {a.target: a.expr for a in design.assigns}
+    memo: dict[str, Counter] = {}
+
+    def count(e: Expr) -> Counter:
+        counts = Counter()
         for node in e.walk():
-            if node.kind == "var":
-                name = node.name
-                if name in assign_by_target and name not in reg_names:
-                    walk(assign_by_target[name].expr)
-                else:
-                    counts[name] = counts.get(name, 0) + 1
+            if node.kind != "var":
+                continue
+            if node.name not in drivers:
+                counts[node.name] += 1
+                continue
+            if node.name not in memo:
+                memo[node.name] = count(drivers[node.name])
+            counts.update(memo[node.name])
+        return counts
 
-    walk(expr)
-    return counts
+    return count(expr)
 
 
 def diagnose(path: TimingPath, design: RtlDesign) -> BottleneckDiagnosis:

@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 
 from corpus import CHAIN_ADDER_8
-from rtlopt.dsl import parse
+from rtlopt.dsl import parse, print_design
 from rtlopt.llm import LlmClient
 from rtlopt.proposer import LlmSettings, ProposerConfig, propose_group
 from rtlopt.skills import SkillLibrary
@@ -16,6 +16,17 @@ from rtlopt.skills import SkillLibrary
 REBALANCED = """\
 module chain(input [7:0] a, input [7:0] b, input [7:0] c, input [7:0] d, output [7:0] y);
   assign y = (a + b) + (c + d);
+endmodule
+"""
+
+# Valid but not canonical: a comment, a blank line and free spacing.
+COMMENTED = """\
+// rebalanced by hand
+
+module chain(input [7:0] a, input [7:0] b, input [7:0] c, input [7:0] d, output [7:0] y);
+  wire [7:0] s;
+  assign s = c+d;
+  assign y = (a + b) + s;
 endmodule
 """
 
@@ -79,6 +90,18 @@ def test_valid_response_becomes_proposal(stub_server, tmp_path):
     assert body["model"] == "stub-model"
     saved = os.listdir(str(tmp_path / "transcripts"))
     assert saved == ["call_0000.json"]
+
+
+def test_accepted_reply_is_stored_as_canonical_text(stub_server):
+    _StubHandler.script = [_chat_body(f"```verilog\n{COMMENTED}```")]
+    proposal = _client(stub_server).propose(parse(CHAIN_ADDER_8), None, SkillLibrary())
+    design = proposal.design
+    assert design.source == print_design(design)
+    # Statement lines are those of the canonical text: header, wire, assigns.
+    assert [a.loc[0] for a in design.assigns] == [3, 4]
+    lines = design.source.splitlines()
+    assert [lines[a.loc[0] - 1].split()[:2] for a in design.assigns] == [
+        ["assign", "s"], ["assign", "y"]]
 
 
 def test_prose_then_valid_retries(stub_server):

@@ -168,6 +168,18 @@ endmodule
     assert once == twice
 
 
+def test_exprs_equal_by_value_not_location():
+    tight = parse("module e(input [3:0] a, input [3:0] b, output [3:0] y); "
+                  "assign y = a+b; endmodule").assigns[0].expr
+    loose = parse("module e(input [3:0] a, input [3:0] b, output [3:0] y);\n\n"
+                  "  assign y =   ( a  +  b );\nendmodule\n").assigns[0].expr
+    assert tight.loc != loose.loc
+    assert tight == loose and hash(tight) == hash(loose)
+    swapped = parse("module e(input [3:0] a, input [3:0] b, output [3:0] y); "
+                    "assign y = b + a; endmodule").assigns[0].expr
+    assert tight != swapped
+
+
 def test_print_expr_fully_parenthesized():
     d = parse("module e(input a, input b, input c, output y); "
               "assign y = a | b & c; endmodule")

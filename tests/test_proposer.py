@@ -59,7 +59,9 @@ def test_no_duplicate_candidates(bcfg):
     parent = parse(CHAIN_ADDER_8)
     proposals = propose_group(parent, _diagnoses(parent, bcfg), SkillLibrary(),
                               ProposerConfig(n_candidates=8))
-    sources = [p.source for p in proposals if not p.skipped]
+    designs = [p.design for p in proposals if not p.skipped]
+    assert all(d.source == print_design(d) for d in designs)
+    sources = [d.source for d in designs]
     assert len(sources) == len(set(sources))
     assert print_design(parent) not in sources
 

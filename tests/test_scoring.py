@@ -7,6 +7,7 @@ import pytest
 
 from rtlopt.backend import PpaMetrics
 from rtlopt.scoring import (
+    CandidateScore,
     ScoreWeights,
     group_advantage,
     normalize,
@@ -64,25 +65,22 @@ def test_weights_validated():
 class _Cand:
     def __init__(self, sec_pass, value):
         self.sec_pass = sec_pass
-        self.score = value
+        self.score = CandidateScore(0.0, 0.0, 0.0, 0.0, value, sec_pass)
 
 
 def test_select_next_lowest_passing():
-    parent = _Cand(True, 0.0)
     group = [_Cand(True, -0.2), _Cand(False, -9.0), _Cand(True, -0.5)]
-    assert select_next(parent, group) is group[2]
+    assert select_next(group) is group[2]
 
 
 def test_select_next_tie_prefers_earliest():
-    parent = _Cand(True, 0.0)
     group = [_Cand(True, -0.5), _Cand(True, -0.5)]
-    assert select_next(parent, group) is group[0]
+    assert select_next(group) is group[0]
 
 
-def test_select_next_all_failing_keeps_parent():
-    parent = _Cand(True, 0.0)
+def test_select_next_all_failing_is_none():
     group = [_Cand(False, -1.0), _Cand(False, -2.0)]
-    assert select_next(parent, group) is parent
+    assert select_next(group) is None
 
 
 def test_group_advantage_example():

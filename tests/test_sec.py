@@ -213,6 +213,6 @@ endmodule
 
 
 def test_evaluate_baseline_skips_sec(bcfg):
-    result = evaluate(parse(CHAIN_ADDER_8), None, bcfg)
+    result = evaluate(parse(CHAIN_ADDER_8), bcfg)
     assert result.sec_pass
     assert result.sec_mode == SEC_SKIPPED_BASELINE

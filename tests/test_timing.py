@@ -1,5 +1,7 @@
 """Critical-path selection, RTL mapping, and diagnosis rules."""
 
+import time
+
 import pytest
 
 from corpus import CHAIN_ADDER_8
@@ -140,6 +142,29 @@ endmodule
     d = diagnose(select_critical_paths(report, 1)[0], design)
     assert d.root_cause == "reconvergent"
     assert "a" in d.evidence
+
+
+def _xor_ladder(levels):
+    lines = ["module ladder(input [3:0] x, output [3:0] y);"]
+    lines += [f"  wire [3:0] w{i};" for i in range(levels - 1)]
+    prev = "x"
+    for i in range(levels):
+        target = f"w{i}" if i < levels - 1 else "y"
+        lines.append(f"  assign {target} = {prev} ^ ({prev} >> 1);")
+        prev = target
+    return "\n".join(lines + ["endmodule", ""])
+
+
+def test_diagnose_reconvergent_ladder_is_linear(bcfg):
+    # Each level reads the previous wire twice, so the cone holds 2**24
+    # references to x; counting each wire's cone once keeps this fast.
+    design, report = _report_of(_xor_ladder(24), bcfg)
+    path = select_critical_paths(report, 1)[0]
+    start = time.perf_counter()
+    d = diagnose(path, design)
+    assert time.perf_counter() - start < 1.0
+    assert d.root_cause == "reconvergent"
+    assert d.evidence == "x reconverges in the cone of y"
 
 
 def test_diagnose_depth_fallback(bcfg):
