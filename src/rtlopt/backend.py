@@ -46,7 +46,6 @@ SEC_CHUNK = 16_384
 SEC_EXHAUSTIVE = "exhaustive"
 SEC_BOUNDED = "bounded-sampled"
 SEC_EXTERNAL = "external"
-SEC_SKIPPED_BASELINE = "skipped-baseline"
 
 EXTERNAL_TIMEOUT_S = 3600.0
 
@@ -142,7 +141,6 @@ class EvalResult:
     sec_pass: bool
     sec_mode: str
     timing_report: TimingReport
-    backend_id: str
 
     def to_dict(self) -> dict:
         return {
@@ -150,13 +148,12 @@ class EvalResult:
             "sec_pass": self.sec_pass,
             "sec_mode": self.sec_mode,
             "timing_report": self.timing_report.to_dict(),
-            "backend_id": self.backend_id,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalResult":
         return cls(PpaMetrics.from_dict(d["metrics"]), d["sec_pass"], d["sec_mode"],
-                   TimingReport.from_dict(d["timing_report"]), d["backend_id"])
+                   TimingReport.from_dict(d["timing_report"]))
 
 
 @dataclass(frozen=True)
@@ -429,14 +426,11 @@ def check_equivalence(golden: RtlDesign, candidate: RtlDesign,
     return SecVerdict(True, ref.mode)
 
 
-def evaluate(design: RtlDesign, config: BackendConfig,
-             sec: GoldenSec | None = None) -> EvalResult:
-    """Synthesize plus, given a SEC context, check equivalence against its golden."""
+def evaluate(design: RtlDesign, config: BackendConfig, sec: GoldenSec) -> EvalResult:
+    """Synthesize, then check equivalence against the SEC context's golden."""
     metrics, report = synthesize(design, config)
-    if sec is None:
-        return EvalResult(metrics, True, SEC_SKIPPED_BASELINE, report, config.kind)
     verdict = check_equivalence(sec.golden, design, config, sec)
-    return EvalResult(metrics, verdict.passed, verdict.mode, report, config.kind)
+    return EvalResult(metrics, verdict.passed, verdict.mode, report)
 
 
 def _external_sec(golden: RtlDesign, candidate: RtlDesign,

@@ -21,7 +21,7 @@ from . import skills as sk
 from .dsl import RtlError, parse
 from .llm import LlmClient
 from .orchestrator import BaselineEvaluationError, RunConfig, run
-from .trajectory import RunState, canonical_json, running_best
+from .trajectory import CANDIDATE_OK, RunState, canonical_json, running_best
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -113,18 +113,19 @@ def cmd_eval(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        sec = be.GoldenSec(_load_design(args.golden)) if args.golden else None
-        result = be.evaluate(design, config.backend, sec)
+        if args.golden:
+            sec = be.GoldenSec(_load_design(args.golden))
+            result = be.evaluate(design, config.backend, sec)
+            payload = {**result.metrics.to_dict(), "sec_pass": result.sec_pass,
+                       "sec_mode": result.sec_mode}
+        else:
+            payload = be.synthesize(design, config.backend)[0].to_dict()
     except be.PortInterfaceMismatch as exc:
         print(f"error: port interface mismatch: {exc}", file=sys.stderr)
         return EXIT_BASELINE
     except (be.BackendError, RtlError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BASELINE
-    payload = result.metrics.to_dict()
-    if sec is not None:
-        payload["sec_pass"] = result.sec_pass
-        payload["sec_mode"] = result.sec_mode
     print(json.dumps(payload, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -133,8 +134,11 @@ def _load_state(run_dir: str) -> RunState:
     path = os.path.join(run_dir, "state.json")
     if not os.path.exists(path):
         raise ConfigError(f"no state.json under {run_dir}")
-    with open(path) as fh:
-        return RunState.from_dict(json.load(fh))
+    try:
+        with open(path) as fh:
+            return RunState.from_dict(json.load(fh))
+    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"{path} is not a run state of this version: {exc!r}") from exc
 
 
 def cmd_show(args) -> int:
@@ -163,10 +167,11 @@ def cmd_show(args) -> int:
             if cand.advantage is not None:
                 line += f" adv={cand.advantage:+.3f}"
             print(line)
-            for event in cand.path_events:
-                d = event.diagnosis
+            if cand.status == CANDIDATE_OK and cand.path is not None:
+                d = it.diagnoses[cand.path]
                 print(f"    path {d.path.startpoint}->{d.path.endpoint} "
-                      f"{d.root_cause} -> {event.strategy} ({event.outcome})")
+                      f"{d.root_cause} -> {cand.strategy or cand.proposer_kind} "
+                      f"({'sec-pass' if cand.sec_pass else 'sec-fail'})")
     return EXIT_OK
 
 

@@ -70,15 +70,7 @@ def _tokenize(source: str) -> list[Token]:
             raise RtlSyntaxError(f"unexpected character {source[pos]!r}", line, col)
         text = m.group(0)
         if m.lastgroup != "ws":
-            kind = m.lastgroup
-            if kind == "sized":
-                tokens.append(Token("sized", text, line, col))
-            elif kind == "ident":
-                tokens.append(Token("ident", text, line, col))
-            elif kind == "int":
-                tokens.append(Token("int", text, line, col))
-            else:
-                tokens.append(Token("op", text, line, col))
+            tokens.append(Token(m.lastgroup, text, line, col))
         nl = text.count("\n")
         if nl:
             line += nl

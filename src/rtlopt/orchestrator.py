@@ -26,7 +26,6 @@ from .trajectory import (
     DEFAULT_CONVERGENCE_EPSILON,
     STATUS_BUDGET,
     CandidateRecord,
-    PathEvent,
     RunState,
     TrajectoryStore,
     best_so_far_scores,
@@ -175,7 +174,7 @@ def run(design: RtlDesign, config: RunConfig, out_dir: str,
                                   llm_client=llm_client)
         results = evaluate_group(proposals, sec, config.backend)
 
-        iteration = store.begin_iteration(current_id, len(proposals))
+        iteration = store.begin_iteration(current_id, len(proposals), diagnoses)
         records: list[CandidateRecord] = []
         for i, (proposal, result) in enumerate(zip(proposals, results)):
             candidate_id = f"t{t}c{i}"
@@ -183,29 +182,21 @@ def run(design: RtlDesign, config: RunConfig, out_dir: str,
                 record = CandidateRecord(candidate_id, "", proposal.provenance,
                                          status=CANDIDATE_SKIPPED,
                                          note=proposal.rationale)
-            elif isinstance(result, Exception):
-                ref = store.save_design(proposal.design.source)
-                record = CandidateRecord(candidate_id, ref, proposal.provenance,
-                                         skill_id=proposal.skill_id,
-                                         status=CANDIDATE_EVAL_ERROR,
-                                         note=str(result))
             else:
-                ref = store.save_design(proposal.design.source)
-                cand_score = score(result.metrics, baseline_metrics,
-                                   config.weights, sec_pass=result.sec_pass)
-                record = CandidateRecord(candidate_id, ref, proposal.provenance,
-                                         skill_id=proposal.skill_id,
-                                         eval=result, score=cand_score,
-                                         note=proposal.rationale)
-                if proposal.diagnosis is not None and proposal.strategy is not None:
-                    region = proposal.diagnosis.rtl_region
-                    record.path_events.append(PathEvent(
-                        diagnosis=proposal.diagnosis,
-                        strategy=proposal.strategy,
-                        description=proposal.rationale,
-                        edit_region=region.to_dict(),
-                        outcome="sec-pass" if result.sec_pass else "sec-fail",
-                    ))
+                record = CandidateRecord(
+                    candidate_id, store.save_design(proposal.design.source),
+                    proposal.provenance, skill_id=proposal.skill_id,
+                    strategy=proposal.strategy,
+                    path=(None if proposal.diagnosis is None
+                          else diagnoses.index(proposal.diagnosis)),
+                    note=proposal.rationale)
+                if isinstance(result, Exception):
+                    record.status = CANDIDATE_EVAL_ERROR
+                    record.note = str(result)
+                else:
+                    record.eval = result
+                    record.score = score(result.metrics, baseline_metrics,
+                                         config.weights)
             records.append(record)
             store.record_candidate(iteration, record)
 

@@ -50,12 +50,11 @@ class CandidateScore:
     area_norm: float
     penalty: float
     score: float
-    sec_pass: bool
 
     def to_dict(self) -> dict:
         return {"wns_norm": self.wns_norm, "tns_norm": self.tns_norm,
                 "area_norm": self.area_norm, "penalty": self.penalty,
-                "score": self.score, "sec_pass": self.sec_pass}
+                "score": self.score}
 
     @classmethod
     def from_dict(cls, d: dict) -> "CandidateScore":
@@ -87,15 +86,14 @@ def normalize(value: float, baseline: float) -> float:
 
 
 def score(metrics: PpaMetrics, baseline: PpaMetrics,
-          weights: ScoreWeights = ScoreWeights(), *,
-          sec_pass: bool = True) -> CandidateScore:
+          weights: ScoreWeights = ScoreWeights()) -> CandidateScore:
     wns_norm = normalize(metrics.wns, baseline.wns)
     tns_norm = normalize(metrics.tns, baseline.tns)
     area_norm = normalize(metrics.area, baseline.area)
     penalty = weights.area_penalty if area_norm > weights.area_penalty_threshold else 0.0
     total = (weights.alpha * wns_norm + weights.beta * tns_norm
              + weights.gamma * area_norm + penalty)
-    return CandidateScore(wns_norm, tns_norm, area_norm, penalty, total, sec_pass)
+    return CandidateScore(wns_norm, tns_norm, area_norm, penalty, total)
 
 
 def select_next(group):

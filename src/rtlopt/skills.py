@@ -14,11 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from .rewrites import STRATEGY_FUNCTIONS
 from .timing import ROOT_CAUSE_PATTERN
-from .trajectory import (
-    CANDIDATE_SKIPPED,
-    IterationRecord,
-    canonical_json,
-)
+from .trajectory import CANDIDATE_OK, IterationRecord, canonical_json
 
 PATTERNS = frozenset(ROOT_CAUSE_PATTERN.values())
 STRATEGIES = tuple(STRATEGY_FUNCTIONS)
@@ -141,6 +137,9 @@ def distill(iteration: IterationRecord, library: SkillLibrary,
             run_id: str = "") -> SkillLibrary:
     """Fold one finalized iteration's evidence into the library, in place.
 
+    Evidence is each evaluated candidate that applied a catalog strategy to
+    a diagnosed path, keyed by (that path's pattern, strategy).
+
     Batch update: advantages for one entry are averaged over the whole
     iteration before merging, so candidate arrival order is irrelevant.
     Idempotent per (run_id, iteration index).
@@ -157,16 +156,16 @@ def distill(iteration: IterationRecord, library: SkillLibrary,
     # (pattern, strategy) -> [occurrences, passes, passing advantages]
     batch: dict[tuple[str, str], list] = {}
     for cand in iteration.candidates:
-        if cand.status == CANDIDATE_SKIPPED:
+        if (cand.status != CANDIDATE_OK or cand.strategy is None
+                or cand.path is None):
             continue
-        for event in cand.path_events:
-            entry_key = (event.diagnosis.pattern, event.strategy)
-            occ, passes, advs = batch.setdefault(entry_key, [0, 0, []])
-            batch[entry_key][0] += 1
-            if cand.sec_pass:
-                batch[entry_key][1] += 1
-                if cand.advantage is not None:
-                    batch[entry_key][2].append(cand.advantage)
+        entry_key = (iteration.diagnoses[cand.path].pattern, cand.strategy)
+        entry = batch.setdefault(entry_key, [0, 0, []])
+        entry[0] += 1
+        if cand.sec_pass:
+            entry[1] += 1
+            if cand.advantage is not None:
+                entry[2].append(cand.advantage)
 
     for (pattern, strategy), (occ, passes, advs) in sorted(batch.items()):
         skill = library.entries.get((pattern, strategy))

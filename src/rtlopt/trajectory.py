@@ -1,8 +1,11 @@
 """Three-layer optimization-trajectory store.
 
-Layer 1 is the iteration round, layer 2 the parallel candidate group with
-PPA/SEC results, layer 3 the per-path events (diagnosis, transformation,
-outcome). State persists as canonical JSON (sorted keys, compact
+Layer 1 is the iteration round with its diagnosed critical paths, layer 2
+the parallel candidate group with PPA/SEC results, and layer 3 each
+candidate's path record: the catalog strategy it applied and the index of
+the diagnosed path it targeted. Each fact is stored once: the iteration
+holds the diagnoses its candidates share, and a candidate's outcome is its
+own SEC verdict. State persists as canonical JSON (sorted keys, compact
 separators, shortest round-trip floats) so identical runs produce byte-
 identical files; design snapshots are stored content-addressed next to it.
 
@@ -47,38 +50,16 @@ def design_hash(source: str) -> str:
 
 
 @dataclass
-class PathEvent:
-    diagnosis: BottleneckDiagnosis
-    strategy: str
-    description: str
-    edit_region: dict   # {file, start_line, end_line}
-    outcome: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "diagnosis": self.diagnosis.to_dict(),
-            "strategy": self.strategy,
-            "description": self.description,
-            "edit_region": dict(self.edit_region),
-            "outcome": self.outcome,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PathEvent":
-        return cls(BottleneckDiagnosis.from_dict(d["diagnosis"]), d["strategy"],
-                   d["description"], d["edit_region"], d["outcome"])
-
-
-@dataclass
 class CandidateRecord:
     candidate_id: str
     design_ref: str            # content hash of the candidate source
     proposer_kind: str         # "skill-guided" | "llm" | "rule"
     skill_id: str | None = None
+    strategy: str | None = None  # catalog key; None for LLM and skipped slots
+    path: int | None = None      # index into the iteration's diagnoses
     eval: EvalResult | None = None
     score: CandidateScore | None = None
     advantage: float | None = None
-    path_events: list[PathEvent] = field(default_factory=list)
     status: str = CANDIDATE_OK
     note: str = ""
 
@@ -92,10 +73,11 @@ class CandidateRecord:
             "design_ref": self.design_ref,
             "proposer_kind": self.proposer_kind,
             "skill_id": self.skill_id,
+            "strategy": self.strategy,
+            "path": self.path,
             "eval": self.eval.to_dict() if self.eval else None,
             "score": self.score.to_dict() if self.score else None,
             "advantage": self.advantage,
-            "path_events": [e.to_dict() for e in self.path_events],
             "status": self.status,
             "note": self.note,
         }
@@ -107,10 +89,11 @@ class CandidateRecord:
             design_ref=d["design_ref"],
             proposer_kind=d["proposer_kind"],
             skill_id=d["skill_id"],
+            strategy=d["strategy"],
+            path=d["path"],
             eval=EvalResult.from_dict(d["eval"]) if d["eval"] else None,
             score=CandidateScore.from_dict(d["score"]) if d["score"] else None,
             advantage=d["advantage"],
-            path_events=[PathEvent.from_dict(e) for e in d["path_events"]],
             status=d["status"],
             note=d["note"],
         )
@@ -121,6 +104,7 @@ class IterationRecord:
     index: int
     parent_id: str
     group_size: int
+    diagnoses: list[BottleneckDiagnosis] = field(default_factory=list)  # top-k paths
     candidates: list[CandidateRecord] = field(default_factory=list)
     group_stats: GroupStats | None = None
     selected: str | None = None
@@ -131,6 +115,7 @@ class IterationRecord:
             "index": self.index,
             "parent_id": self.parent_id,
             "group_size": self.group_size,
+            "diagnoses": [d.to_dict() for d in self.diagnoses],
             "candidates": [c.to_dict() for c in self.candidates],
             "group_stats": self.group_stats.to_dict() if self.group_stats else None,
             "selected": self.selected,
@@ -143,6 +128,7 @@ class IterationRecord:
             index=d["index"],
             parent_id=d["parent_id"],
             group_size=d["group_size"],
+            diagnoses=[BottleneckDiagnosis.from_dict(x) for x in d["diagnoses"]],
             candidates=[CandidateRecord.from_dict(c) for c in d["candidates"]],
             group_stats=GroupStats.from_dict(d["group_stats"]) if d["group_stats"] else None,
             selected=d["selected"],
@@ -237,11 +223,13 @@ class TrajectoryStore:
 
     # --- three-layer record keeping ---------------------------------------
 
-    def begin_iteration(self, parent_id: str, group_size: int) -> IterationRecord:
+    def begin_iteration(self, parent_id: str, group_size: int,
+                        diagnoses: list[BottleneckDiagnosis]) -> IterationRecord:
         if self.state.status != STATUS_RUNNING:
             raise TrajectoryError(f"run is {self.state.status}, not running")
         record = IterationRecord(index=len(self.state.iterations),
-                                 parent_id=parent_id, group_size=group_size)
+                                 parent_id=parent_id, group_size=group_size,
+                                 diagnoses=list(diagnoses))
         self.state.iterations.append(record)
         return record
 
@@ -253,6 +241,8 @@ class TrajectoryStore:
                 f"group already holds {iteration.group_size} candidates")
         if any(c.candidate_id == record.candidate_id for c in iteration.candidates):
             raise TrajectoryError(f"duplicate candidate id {record.candidate_id!r}")
+        if record.path is not None and not 0 <= record.path < len(iteration.diagnoses):
+            raise TrajectoryError(f"path {record.path} is not a diagnosed path")
         iteration.candidates.append(record)
 
     def finalize_iteration(self, iteration: IterationRecord, stats: GroupStats,

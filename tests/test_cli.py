@@ -122,6 +122,30 @@ def test_eval_port_mismatch_exit_2(design_file, tmp_path, capsys):
     assert "mismatch" in capsys.readouterr().err
 
 
+# `show` on the default chain run, one path line per evaluated rule candidate.
+SHOW_FIRST_ITERATIONS = """\
+run chain-seed0 (chain, budget-exhausted)
+iteration 0: parent 8c1d6bbb09b521ea, selected t0c0
+  t0c0 [ok] rule sec=pass score=-0.7761 adv=-1.000
+    path a->y wide-arithmetic -> tree-rebalance (sec-pass)
+  t0c1 [ok] rule sec=pass score=+0.0000 adv=+1.000
+    path a->y wide-arithmetic -> decomposition (sec-pass)
+  t0c2 [skipped] skipped sec=fail
+  t0c3 [skipped] skipped sec=fail
+  t0c4 [skipped] skipped sec=fail
+iteration 1: parent 4c3bc492f14d4b3a, selected t1c0
+  t1c0 [ok] skill-guided sec=pass score=-0.7761 adv=+0.000
+    path a->y wide-arithmetic -> decomposition (sec-pass)
+  t1c1 [skipped] skipped sec=fail
+  t1c2 [skipped] skipped sec=fail
+  t1c3 [skipped] skipped sec=fail
+  t1c4 [skipped] skipped sec=fail
+iteration 2: parent 8a8588244bbfdd3e, selected t2c0
+  t2c0 [ok] rule sec=pass score=-0.7761 adv=+0.000
+    path a->y wide-arithmetic -> decomposition (sec-pass)
+"""
+
+
 def _finished_run(design_file, tmp_path):
     out = str(tmp_path / "runs")
     assert main(["optimize", "--design", design_file, "--out", out]) == 0
@@ -136,7 +160,8 @@ def test_show_renders_three_layers(design_file, tmp_path, capsys):
     assert "run chain-seed0" in out
     assert "iteration 0" in out
     assert "t0c0" in out
-    assert "->" in out  # path events
+    assert "->" in out  # diagnosed paths
+    assert out.startswith(SHOW_FIRST_ITERATIONS)
 
 
 def test_show_iteration_out_of_range(design_file, tmp_path, capsys):
@@ -146,6 +171,24 @@ def test_show_iteration_out_of_range(design_file, tmp_path, capsys):
 
 def test_show_missing_run_dir(tmp_path, capsys):
     assert main(["show", "--run", str(tmp_path / "nowhere")]) == 1
+
+
+# A state.json cut short mid-write, and one written before iterations held
+# their diagnosed paths (candidates carried path_events).
+with open(os.path.join(os.path.dirname(__file__), "fixtures",
+                       "state_with_path_events.json")) as _fh:
+    OLD_SCHEMA_STATE = _fh.read()
+
+
+@pytest.mark.parametrize("command", ["show", "report"])
+@pytest.mark.parametrize("payload", [OLD_SCHEMA_STATE[:1000], OLD_SCHEMA_STATE],
+                         ids=["truncated", "old-schema"])
+def test_unreadable_state_is_one_line_error(tmp_path, capsys, command, payload):
+    (tmp_path / "state.json").write_text(payload)
+    assert main([command, "--run", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_report_csv_columns(design_file, tmp_path, capsys):

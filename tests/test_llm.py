@@ -164,6 +164,25 @@ def test_propose_group_falls_back_to_rules(stub_server, bcfg):
     assert any(p.provenance == "rule" for p in proposals)
 
 
+def test_llm_candidate_records_its_path(stub_server, tmp_path, capsys):
+    """An LLM slot names the diagnosed path it targeted, and no strategy."""
+    from rtlopt.cli import main
+    from rtlopt.orchestrator import RunConfig, run
+    from rtlopt.trajectory import RunState
+
+    _StubHandler.script = [_chat_body(f"```\n{REBALANCED}```")]  # then prose
+    result = run(parse(CHAIN_ADDER_8, "chain.rtl"), RunConfig(iterations=1),
+                 str(tmp_path), llm_client=_client(stub_server, max_retries=0))
+    with open(os.path.join(result.run_dir, "state.json")) as fh:
+        iteration = RunState.from_dict(json.load(fh)).iterations[0]
+    llm = [c for c in iteration.candidates if c.proposer_kind == "llm"]
+    assert len(llm) == 1 and llm[0].strategy is None
+    assert iteration.diagnoses[llm[0].path].path.endpoint == "y"
+    capsys.readouterr()
+    assert main(["show", "--run", result.run_dir]) == 0
+    assert "    path a->y wide-arithmetic -> llm (sec-pass)\n" in capsys.readouterr().out
+
+
 def test_dead_endpoint_degrades_gracefully():
     client = LlmClient(LlmSettings(base_url="http://127.0.0.1:9",  # discard port
                                    model="stub", timeout_s=0.2, max_retries=0))

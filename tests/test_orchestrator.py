@@ -145,6 +145,30 @@ def test_run_respects_iteration_budget(tmp_path):
     assert state.status == "budget-exhausted"
 
 
+def test_candidates_name_a_diagnosed_path_and_strategy(tmp_path):
+    design = parse("""\
+module two(input [7:0] a, input [7:0] b, input [7:0] c, input [7:0] d,
+           output [7:0] y, output [7:0] z);
+  assign y = ((a + b) + c) + d;
+  assign z = ((a - b) - c) - d;
+endmodule
+""", "two.rtl")
+    result = run(design, _config(iterations=2), str(tmp_path))
+    state = RunState.from_dict(json.loads(
+        open(os.path.join(result.run_dir, "state.json")).read()))
+    endpoints = set()
+    for it in state.iterations:
+        assert len(it.diagnoses) == 2
+        for cand in it.candidates:
+            if cand.status == "skipped":
+                assert cand.strategy is None and cand.path is None
+                continue
+            assert cand.strategy is not None
+            assert 0 <= cand.path < len(it.diagnoses)
+            endpoints.add(it.diagnoses[cand.path].path.endpoint)
+    assert endpoints == {"y", "z"}
+
+
 def test_state_reserialization_byte_identical(tmp_path):
     design = parse(CHAIN_ADDER_8, "chain.rtl")
     result = run(design, _config(iterations=2), str(tmp_path))

@@ -65,7 +65,7 @@ def test_weights_validated():
 class _Cand:
     def __init__(self, sec_pass, value):
         self.sec_pass = sec_pass
-        self.score = CandidateScore(0.0, 0.0, 0.0, 0.0, value, sec_pass)
+        self.score = CandidateScore(0.0, 0.0, 0.0, 0.0, value)
 
 
 def test_select_next_lowest_passing():

@@ -18,11 +18,9 @@ from rtlopt.backend import (
     SEC_CHUNK,
     SEC_EXHAUSTIVE,
     SEC_SAMPLE_COUNT,
-    SEC_SKIPPED_BASELINE,
     GoldenSec,
     PortInterfaceMismatch,
     check_equivalence,
-    evaluate,
 )
 from rtlopt.dsl import CompiledDesign, parse, simulate
 
@@ -211,8 +209,3 @@ endmodule
     assert not verdict.passed
     assert verdict.counterexample.frame >= 2
 
-
-def test_evaluate_baseline_skips_sec(bcfg):
-    result = evaluate(parse(CHAIN_ADDER_8), bcfg)
-    assert result.sec_pass
-    assert result.sec_mode == SEC_SKIPPED_BASELINE

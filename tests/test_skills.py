@@ -16,7 +16,7 @@ from rtlopt.skills import (
     merge,
 )
 from rtlopt.timing import BottleneckDiagnosis, RtlRegion, TimingPath, TimingReport
-from rtlopt.trajectory import CandidateRecord, IterationRecord, PathEvent
+from rtlopt.trajectory import CandidateRecord, IterationRecord
 
 
 def _diag(pattern):
@@ -25,23 +25,24 @@ def _diag(pattern):
     return BottleneckDiagnosis(path, pattern, "wide-arithmetic", region, "test")
 
 
+# An iteration's diagnosed paths; a candidate names one by its index.
+_PATTERNS = ["wide-arithmetic", "mux-heavy-selection"]
+
+
 def _cand(cid, pattern, strategy, advantage, sec_pass=True, status="ok"):
-    record = CandidateRecord(
+    return CandidateRecord(
         candidate_id=cid, design_ref="x" * 16, proposer_kind="rule",
+        strategy=strategy, path=_PATTERNS.index(pattern),
         eval=EvalResult(PpaMetrics(-0.1, -0.1, 96.0), sec_pass, "exhaustive",
-                        TimingReport(clock_ns=0.5, endpoints=()), "builtin"),
-        score=CandidateScore(0, 0, 0, 0, -0.1, sec_pass),
+                        TimingReport(clock_ns=0.5, endpoints=())),
+        score=CandidateScore(0, 0, 0, 0, -0.1),
         advantage=advantage if sec_pass else None,
-        status=status)
-    record.path_events.append(PathEvent(
-        diagnosis=_diag(pattern), strategy=strategy,
-        description=f"apply {strategy}",
-        edit_region={"file": "m.rtl", "start_line": 1, "end_line": 2}))
-    return record
+        status=status, note=f"apply {strategy}")
 
 
 def _iteration(index, cands):
     return IterationRecord(index=index, parent_id="p", group_size=len(cands),
+                           diagnoses=[_diag(p) for p in _PATTERNS],
                            candidates=cands, finalized=True)
 
 
@@ -89,7 +90,11 @@ def test_distill_skips_skipped_and_requires_finalized():
     lib = SkillLibrary()
     skipped = CandidateRecord(candidate_id="c0", design_ref="", proposer_kind="rule",
                               status="skipped")
-    distill(_iteration(0, [skipped]), lib, run_id="r")
+    llm = _cand("c1", "wide-arithmetic", None, 0.0)
+    llm.proposer_kind = "llm"
+    failed = _cand("c2", "wide-arithmetic", "tree-rebalance", None)
+    failed.status, failed.eval, failed.score = "eval-error", None, None
+    distill(_iteration(0, [skipped, llm, failed]), lib, run_id="r")
     assert not lib.entries
     pending = _iteration(1, [_cand("c1", "wide-arithmetic", "tree-rebalance", -1.0)])
     pending.finalized = False

@@ -7,7 +7,12 @@ from rtlopt.backend import EvalResult, PpaMetrics
 from rtlopt.dsl import parse
 from rtlopt.orchestrator import RunConfig, run
 from rtlopt.scoring import CandidateScore, GroupStats, group_advantage
-from rtlopt.timing import TimingReport
+from rtlopt.timing import (
+    BottleneckDiagnosis,
+    RtlRegion,
+    TimingPath,
+    TimingReport,
+)
 from rtlopt.trajectory import (
     CandidateRecord,
     IterationRecord,
@@ -25,11 +30,16 @@ from rtlopt.trajectory import (
 
 def _eval(sec_pass=True):
     return EvalResult(PpaMetrics(-0.1, -0.1, 96.0), sec_pass, "exhaustive",
-                      TimingReport(clock_ns=0.5, endpoints=()), "builtin")
+                      TimingReport(clock_ns=0.5, endpoints=()))
 
 
 def _cscore(value):
-    return CandidateScore(0.0, 0.0, 0.0, 0.0, value, True)
+    return CandidateScore(0.0, 0.0, 0.0, 0.0, value)
+
+
+DIAGNOSIS = BottleneckDiagnosis(
+    TimingPath(startpoint="a", endpoint="y", slack_ns=-0.1, stages=()),
+    "wide-arithmetic", "wide-arithmetic", RtlRegion("m.rtl", 1, 2, "exact"), "test")
 
 
 def _cand(cid, value=None, sec_pass=True, status="ok"):
@@ -70,8 +80,11 @@ def test_store_lifecycle_and_reload(tmp_path):
     assert store.load_design_source(ref).startswith("module m")
     store.persist()
 
-    it = store.begin_iteration(parent_id=ref, group_size=2)
-    store.record_candidate(it, _cand("t0c0", -0.4))
+    it = store.begin_iteration(parent_id=ref, group_size=2, diagnoses=[DIAGNOSIS])
+    assert it.diagnoses == [DIAGNOSIS]
+    cand = _cand("t0c0", -0.4)
+    cand.strategy, cand.path = "tree-rebalance", 0
+    store.record_candidate(it, cand)
     store.record_candidate(it, _cand("t0c1", -0.1))
     store.finalize_iteration(it, group_advantage([-0.4, -0.1]), "t0c0")
 
@@ -86,7 +99,7 @@ def test_store_lifecycle_and_reload(tmp_path):
 def test_advantages_written_back_to_passers(tmp_path):
     state = RunState(run_id="r", design_name="d", config={})
     store = TrajectoryStore(str(tmp_path / "r"), state)
-    it = store.begin_iteration("p", 3)
+    it = store.begin_iteration("p", 3, [])
     store.record_candidate(it, _cand("c0", -0.5))
     store.record_candidate(it, _cand("c1", sec_pass=False))
     store.record_candidate(it, _cand("c2", 0.1))
@@ -99,16 +112,20 @@ def test_advantages_written_back_to_passers(tmp_path):
 def test_store_validation_errors(tmp_path):
     store = TrajectoryStore(str(tmp_path / "r"),
                             RunState(run_id="r", design_name="d", config={}))
-    it = store.begin_iteration("p", 1)
+    it = store.begin_iteration("p", 1, [])
     store.record_candidate(it, _cand("c0"))
     with pytest.raises(TrajectoryError):
         store.record_candidate(it, _cand("c1"))        # full group
     with pytest.raises(TrajectoryError):
         store.finalize_iteration(it, GroupStats(0, 0, ()), "missing")
-    it2 = store.begin_iteration("p", 2)
+    it2 = store.begin_iteration("p", 2, [DIAGNOSIS])
     store.record_candidate(it2, _cand("c0"))
     with pytest.raises(TrajectoryError):
         store.record_candidate(it2, _cand("c0"))       # duplicate id
+    stray = _cand("c1")
+    stray.path = 1
+    with pytest.raises(TrajectoryError):
+        store.record_candidate(it2, stray)             # no diagnosed path 1
     with pytest.raises(TrajectoryError):
         store.finalize_iteration(it2, GroupStats(0, 0, ()), None)  # short group
 
