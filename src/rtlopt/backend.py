@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsl import CompiledDesign, Expr, RtlDesign, topo_order
+from .dsl import CompiledDesign, Expr, RtlDesign, topo_order, uint_dtype
 from .timing import Stage, TimingPath, TimingReport
 
 # Delay model (ns); w is the operand width. Width-dependent terms make wide
@@ -290,8 +290,9 @@ class _Reference:
     """Stimulus and golden output traces for one frame count."""
     mode: str
     rows: int      # input sequences
-    inputs: list   # per frame: input port name -> uint64 vector over sequences
-    outputs: list  # per frame: output port name -> golden uint64 vector
+    inputs: list   # per frame: input port name -> vector over sequences
+    outputs: list  # per frame: output port name -> golden vector
+    # Every vector is in uint_dtype of its port's width.
 
 
 class GoldenSec:
@@ -299,9 +300,8 @@ class GoldenSec:
 
     Neither depends on the candidate, only on the golden design and the
     frame count, so each is built once per frame count and shared by every
-    check against this golden. The evaluation pool's threads ask for the
-    same frame count at once, so building holds a lock and the others wait
-    for its result.
+    check against this golden. Building holds a lock, so threads that ask
+    for the same frame count at once share one build.
     """
 
     def __init__(self, golden: RtlDesign):
@@ -350,7 +350,8 @@ def _directed_rows(golden: RtlDesign, frames: int) -> list[list[dict[str, int]]]
 
 def _stimulus(golden: RtlDesign, frames: int) -> tuple[str, int, list[dict[str, np.ndarray]]]:
     """Mode, sequence count and per-frame input vectors: every input sequence
-    when they fit the budget, else directed rows then a fixed-seed sample."""
+    when they fit the budget, else directed rows then a fixed-seed sample.
+    Each port's vector is in uint_dtype of its width."""
     inputs = golden.input_ports
     total_bits = sum(p.width for p in inputs) * frames
     input_arrays = []
@@ -360,7 +361,8 @@ def _stimulus(golden: RtlDesign, frames: int) -> tuple[str, int, list[dict[str, 
         for frame in range(frames):
             vec = {}
             for p in inputs:
-                vec[p.name] = (seq >> np.uint64(offset)) & np.uint64((1 << p.width) - 1)
+                bits = (seq >> np.uint64(offset)) & np.uint64((1 << p.width) - 1)
+                vec[p.name] = bits.astype(uint_dtype(p.width))
                 offset += p.width
             input_arrays.append(vec)
         return SEC_EXHAUSTIVE, len(seq), input_arrays
@@ -371,8 +373,9 @@ def _stimulus(golden: RtlDesign, frames: int) -> tuple[str, int, list[dict[str, 
         vec = {}
         for p in inputs:
             head = np.array([row[frame][p.name] for row in directed], dtype=np.uint64)
+            # Always drawn as uint64, then narrowed: the dtype selects the stream.
             sample = rng.integers(0, 1 << p.width, size=SEC_SAMPLE_COUNT, dtype=np.uint64)
-            vec[p.name] = np.concatenate((head, sample))
+            vec[p.name] = np.concatenate((head, sample)).astype(uint_dtype(p.width))
         input_arrays.append(vec)
     return SEC_BOUNDED, len(directed) + SEC_SAMPLE_COUNT, input_arrays
 

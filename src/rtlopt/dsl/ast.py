@@ -78,9 +78,15 @@ class Expr:
         return 1 + sum(a.node_count() for a in self.args)
 
     def walk(self):
-        yield self
-        for a in self.args:
-            yield from a.walk()
+        """Every node, parents before children and arguments in order.
+
+        Iterative, so a deep chain costs one step per node rather than one
+        per node and nesting level."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.args))
 
 
 @dataclass(frozen=True)

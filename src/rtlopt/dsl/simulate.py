@@ -6,7 +6,9 @@ Two engines share the same semantics:
   trace at a time. This is the replay oracle for equivalence
   counterexamples.
 * :class:`CompiledDesign` — numpy batch engine evaluating many input
-  sequences at once; the equivalence checker runs on this one.
+  sequences at once; the equivalence checker runs on this one. Each
+  design is compiled once into a flat op list, and each signal is a
+  vector in the narrowest unsigned dtype of its width (uint8 to uint64).
 
 Per frame: combinational logic is evaluated from the current register
 values, outputs are sampled, then registers load their next-state values.
@@ -14,6 +16,9 @@ Registers start at all-zeros.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -88,71 +93,194 @@ def simulate(design: RtlDesign, input_trace: list[dict[str, int]],
     return result
 
 
+def uint_dtype(width: int) -> type[np.unsignedinteger]:
+    """The narrowest unsigned numpy dtype that holds ``width`` bits."""
+    if width <= 8:
+        return np.uint8
+    if width <= 16:
+        return np.uint16
+    if width <= 32:
+        return np.uint32
+    return np.uint64
+
+
+def _reduced(ufunc, mask):
+    """``ufunc`` followed by an in-place reduction modulo 2**width."""
+    def op(*args):
+        out = ufunc(*args)
+        out &= mask
+        return out
+    return op
+
+
+def _eq(a, b):
+    return np.equal(a, b).view(np.uint8)
+
+
+def _lt(a, b):
+    return np.less(a, b).view(np.uint8)
+
+
+_BITWISE = {"and": np.bitwise_and, "or": np.bitwise_or, "xor": np.bitwise_xor}
+_WRAPPING = {"add": np.add, "sub": np.subtract, "shl": np.left_shift}
+
+
 class CompiledDesign:
-    """Batch evaluator: every signal is a uint64 vector across sequences."""
+    """Batch evaluator: every signal is a vector across input sequences.
+
+    The design is compiled once into a flat list of numpy operations in
+    topological order, one per distinct expression node, so a subexpression
+    shared by several statements is evaluated once per frame. Each signal
+    is held in :func:`uint_dtype` of its width and every value stays below
+    2**width: a result is masked only where its width is narrower than its
+    dtype. Constant-only subtrees are folded at compile time with Python
+    ints by :func:`eval_expr`, so no numpy scalar arithmetic (and none of
+    its overflow warnings) happens.
+    """
 
     def __init__(self, design: RtlDesign):
         self.design = design
-        self.order = topo_order(design)
-        self.inputs = design.input_ports
-        self.outputs = design.output_ports
+        self._template: list = []          # slot -> constant scalar, or None
+        self._constants: dict[int, int] = {}  # constant slot -> Python value
+        self._ops: list[tuple] = []        # (function, output slot, argument slots)
+        self._memo: dict[tuple, int] = {}
+        signals = {}
+        self._inputs = []
+        for port in design.input_ports:
+            signals[port.name] = self._slot()
+            self._inputs.append((port.name, signals[port.name], uint_dtype(port.width)))
+        self._registers = []
+        for reg in design.registers:
+            signals[reg.name] = self._slot()
+            self._registers.append((signals[reg.name], uint_dtype(reg.width)))
+        self._signals = signals
+        for assign in topo_order(design):
+            signals[assign.target] = self._node(assign.expr)
+        self._next = [self._node(r.next) for r in design.registers]
+        self._outputs = [(p.name, signals[p.name]) for p in design.output_ports]
+        self._reuse_dead_slots()
+        # Constants that leave as a signal value must be full vectors.
+        self._filled = sorted({s for s in self._next + [s for _, s in self._outputs]
+                               if s in self._constants})
+        del self._memo, self._signals, self._constants  # compile-time only
 
-    def _eval(self, expr: Expr, env: dict[str, np.ndarray]) -> np.ndarray:
-        k = expr.kind
-        mask = np.uint64(_mask(expr.width))
+    def _reuse_dead_slots(self):
+        """Write each result into the slot of a value no later op reads.
+
+        Overwriting drops the dead vector at once, so a frame keeps only its
+        live values and the next result can reuse memory still in cache.
+        Against fresh slots (comb-chains, seed 3, 10 alternating 20 s runs,
+        2 cores): run_s 0.93 against 1.01 s, faster in 9 of 10, and peak RSS
+        101 against 122 MB.
+        """
+        kept = set(self._next) | {s for _, s in self._outputs}
+        last_read = {a: i for i, (_, _, args) in enumerate(self._ops) for a in args}
+        renamed, free, ops = {}, [], []
+        for i, (function, out, args) in enumerate(self._ops):
+            for a in set(args):
+                if a in renamed and a not in kept and last_read[a] == i:
+                    free.append(renamed[a])
+            renamed[out] = free.pop() if free else out
+            ops.append((function, renamed[out], tuple(renamed.get(a, a) for a in args)))
+        self._ops = ops
+        self._next = [renamed.get(s, s) for s in self._next]
+        self._outputs = [(name, renamed.get(s, s)) for name, s in self._outputs]
+
+    def _slot(self, value=None) -> int:
+        self._template.append(value)
+        return len(self._template) - 1
+
+    def _constant(self, value: int, width: int) -> int:
+        slot = self._slot(uint_dtype(width)(value))
+        self._constants[slot] = value
+        return slot
+
+    def _emit(self, function, *args: int) -> int:
+        out = self._slot()
+        self._ops.append((function, out, args))
+        return out
+
+    def _node(self, expr: Expr) -> int:
+        """The slot holding ``expr``'s value. Nodes are numbered by kind,
+        parameters and argument slots, so equal subexpressions share one
+        slot without hashing whole subtrees."""
+        if expr.kind == "var":
+            return self._signals[expr.name]
+        args = [self._node(a) for a in expr.args]
+        key = (expr.kind, expr.width, expr.value, expr.amount, expr.lsb, *args)
+        slot = self._memo.get(key)
+        if slot is None:
+            slot = self._memo[key] = self._compile(expr, args)
+        return slot
+
+    def _compile(self, expr: Expr, args: list[int]) -> int:
+        k, width = expr.kind, expr.width
         if k == "const":
-            return np.uint64(expr.value)
-        if k == "var":
-            return env[expr.name]
+            return self._constant(expr.value, width)
+        if all(a in self._constants for a in args):
+            folded = replace(expr, args=tuple(
+                Expr("const", e.width, value=self._constants[a])
+                for e, a in zip(expr.args, args)))
+            return self._constant(eval_expr(folded, {}), width)
+        dtype = uint_dtype(width)
+        narrow = width not in (8, 16, 32, 64)  # narrower than its dtype
+        if k in _BITWISE:
+            return self._emit(_BITWISE[k], *args)
+        if k in _WRAPPING:
+            if k == "shl":
+                args.append(self._constant(expr.amount, width))
+            ufunc = _WRAPPING[k]
+            return self._emit(_reduced(ufunc, dtype(_mask(width))) if narrow else ufunc,
+                              *args)
         if k == "not":
-            return ~self._eval(expr.args[0], env) & mask
-        if k in ("and", "or", "xor", "add", "sub"):
-            a = self._eval(expr.args[0], env)
-            b = self._eval(expr.args[1], env)
-            if k == "and":
-                return a & b
-            if k == "or":
-                return a | b
-            if k == "xor":
-                return a ^ b
-            if k == "add":
-                return (a + b) & mask
-            return (a - b) & mask
-        if k in ("eq", "lt"):
-            a = self._eval(expr.args[0], env)
-            b = self._eval(expr.args[1], env)
-            out = (a == b) if k == "eq" else (a < b)
-            return out.astype(np.uint64) if isinstance(out, np.ndarray) else np.uint64(out)
-        if k == "shl":
-            return (self._eval(expr.args[0], env) << np.uint64(expr.amount)) & mask
+            return (self._emit(np.bitwise_xor, args[0], self._constant(_mask(width), width))
+                    if narrow else self._emit(np.invert, args[0]))
         if k == "shr":
-            return self._eval(expr.args[0], env) >> np.uint64(expr.amount)
-        if k == "slice":
-            return (self._eval(expr.args[0], env) >> np.uint64(expr.lsb)) & mask
+            return self._emit(np.right_shift, args[0], self._constant(expr.amount, width))
+        if k == "eq":
+            return self._emit(_eq, *args)
+        if k == "lt":
+            return self._emit(_lt, *args)
         if k == "mux":
-            c = self._eval(expr.args[0], env)
-            a = self._eval(expr.args[1], env)
-            b = self._eval(expr.args[2], env)
-            return np.where(c != 0, a, b)
+            select = args[0]
+            if select in self._constants:
+                return args[1] if self._constants[select] else args[2]
+            return self._emit(np.where, *args)
+        if k == "slice":
+            source_width = expr.args[0].width
+            slot = args[0]
+            if expr.lsb:
+                slot = self._emit(np.right_shift, slot,
+                                  self._constant(expr.lsb, source_width))
+            if dtype is not uint_dtype(source_width):
+                slot = self._emit(partial(np.ndarray.astype, dtype=dtype), slot)
+            if narrow and expr.msb < source_width - 1:
+                slot = self._emit(np.bitwise_and, slot, self._constant(_mask(width), width))
+            return slot
         raise AssertionError(f"unhandled kind {k}")
 
     def run(self, input_arrays: list[dict[str, np.ndarray]],
             frames: int) -> list[dict[str, np.ndarray]]:
-        """Simulate a batch; ``input_arrays[frame][port]`` is a uint64 vector."""
-        n = len(next(iter(input_arrays[0].values()))) if self.inputs else 1
-        regs = {r.name: np.zeros(n, dtype=np.uint64) for r in self.design.registers}
+        """Simulate a batch; ``input_arrays[frame][port]`` is a vector over
+        sequences whose values fit the port, in any unsigned dtype (converted
+        to the port's own where it differs). Each returned output vector is
+        in its port's dtype."""
+        n = len(next(iter(input_arrays[0].values()))) if self._inputs else 1
+        env = list(self._template)
+        for slot in self._filled:
+            env[slot] = np.full(n, env[slot])
+        for slot, dtype in self._registers:
+            env[slot] = np.zeros(n, dtype=dtype)
+        ops, outputs = self._ops, self._outputs
         traces = []
         for frame in range(frames):
-            env: dict[str, np.ndarray] = dict(regs)
-            for port in self.inputs:
-                env[port.name] = input_arrays[frame][port.name]
-            for assign in self.order:
-                env[assign.target] = np.broadcast_to(
-                    self._eval(assign.expr, env), (n,)).astype(np.uint64, copy=False)
-            traces.append({p.name: np.broadcast_to(env[p.name], (n,)) for p in self.outputs})
-            regs = {
-                r.name: np.broadcast_to(self._eval(r.next, env), (n,)).astype(
-                    np.uint64, copy=False)
-                for r in self.design.registers
-            }
+            vector = input_arrays[frame]
+            for name, slot, dtype in self._inputs:
+                env[slot] = vector[name].astype(dtype, copy=False)
+            for function, out, args in ops:
+                env[out] = function(*[env[a] for a in args])
+            traces.append({name: env[slot] for name, slot in outputs})
+            state = [env[s] for s in self._next]
+            for (slot, _), value in zip(self._registers, state):
+                env[slot] = value
         return traces

@@ -10,7 +10,6 @@ group's relative advantages into the skill library for the next round.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import backend as be
@@ -115,15 +114,17 @@ def _sign_for_report(baseline: float) -> float:
     return -1.0 if baseline < 0 else 1.0
 
 
-# Pooled. With SEC's golden traces shared per run (2 cores, seed 7, 20 s runs,
-# alternating pairs): comb-chains run_s 1.87 s pooled against 1.96 s serial
-# (each side won 3 of 6 pairs), seq-datapath 5.67 s against 6.62 s (pooled won
-# 3 of 3), at 22-33% more CPU. The external backend's tool runs wait in
-# subprocesses, which the pool overlaps.
+# Serial. With width-typed simulation a builtin check is a run of short numpy
+# operations that contend for the interpreter lock, and serial evaluation won
+# every alternating pair against a thread per slot (2 cores, seed 7, 20 s
+# runs): run_s on comb-chains 0.92 s serial against 1.08 s pooled (6 of 6
+# pairs), on seq-datapath 1.67 s against 2.76 s (4 of 4), with less CPU and
+# memory. No workload runs the external backend, so overlapping its tool
+# runs is left until one measures it.
 def evaluate_group(proposals: list[Proposal], sec: be.GoldenSec,
                    config: be.BackendConfig):
-    """Evaluate candidates concurrently against ``sec.golden``, the run's
-    original design; failures isolate to their slot."""
+    """Evaluate candidates one after another against ``sec.golden``, the
+    run's original design; failures isolate to their slot."""
 
     def one(proposal: Proposal):
         if proposal.skipped:
@@ -133,8 +134,7 @@ def evaluate_group(proposals: list[Proposal], sec: be.GoldenSec,
         except Exception as exc:  # candidate-level failure never aborts the run
             return exc
 
-    with ThreadPoolExecutor(max_workers=max(1, len(proposals))) as pool:
-        return list(pool.map(one, proposals))
+    return [one(p) for p in proposals]
 
 
 def run(design: RtlDesign, config: RunConfig, out_dir: str,
@@ -165,13 +165,19 @@ def run(design: RtlDesign, config: RunConfig, out_dir: str,
     current = design
     current_id = state.baseline_design_ref
     current_report = baseline_report
+    repeat = False
 
     for t in range(config.iterations):
-        paths = select_critical_paths(current_report, config.top_k_paths)
-        diagnoses = [diagnose(p, current) for p in paths]
-
-        proposals = propose_group(current, diagnoses, library, config.proposer,
-                                  llm_client=llm_client)
+        if not repeat:
+            paths = select_critical_paths(current_report, config.top_k_paths)
+            diagnoses = [diagnose(p, current) for p in paths]
+            proposals = propose_group(current, diagnoses, library, config.proposer,
+                                      llm_client=llm_client)
+        # A group whose every slot was skipped selects nothing and gives
+        # distill no evidence, so the parent and the library's entries stay
+        # as they are and, without an LLM, the next iteration would diagnose
+        # and propose exactly the same again.
+        repeat = llm_client is None and all(p.skipped for p in proposals)
         results = evaluate_group(proposals, sec, config.backend)
 
         iteration = store.begin_iteration(current_id, len(proposals), diagnoses)

@@ -10,7 +10,7 @@ separators, shortest round-trip floats) so identical runs produce byte-
 identical files; design snapshots are stored content-addressed next to it.
 
 The store has one writer: the loop's own thread records every iteration
-after the evaluation pool has joined, so it holds no lock. ``state.json``
+after the group's evaluation has returned, so it holds no lock. ``state.json``
 is written when the run starts, when each iteration is finalized and when
 the run ends; beginning an iteration and recording its candidates only
 change the in-memory state.

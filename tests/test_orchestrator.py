@@ -2,10 +2,12 @@
 
 import json
 import os
+import threading
 
 import pytest
 
 from corpus import CHAIN_ADDER_8, REWRITE_CORPUS
+from rtlopt import orchestrator
 from rtlopt.backend import GoldenSec
 from rtlopt.dsl import CompiledDesign, parse
 from rtlopt.orchestrator import (
@@ -112,6 +114,22 @@ def test_evaluate_group_isolates_failures(bcfg):
     assert results[2] is None
 
 
+def test_evaluate_group_runs_slots_in_order_on_the_loops_thread(bcfg, monkeypatch):
+    designs = [parse(CHAIN_ADDER_8) for _ in range(3)]
+    calls = []
+
+    def record(candidate, config, sec):
+        calls.append((candidate, threading.get_ident()))
+        return None
+
+    monkeypatch.setattr(orchestrator.be, "evaluate", record)
+    proposals = [Proposal(d, "rule", "tree-rebalance", None) for d in designs]
+    evaluate_group(proposals, GoldenSec(designs[0]), bcfg)
+    assert [c for c, _ in calls] == designs
+    assert all(c is d for (c, _), d in zip(calls, designs))
+    assert {t for _, t in calls} == {threading.get_ident()}
+
+
 @pytest.mark.parametrize("source", [CHAIN_ADDER_8, REWRITE_CORPUS[4]],
                          ids=["bounded", "exhaustive"])
 def test_run_simulates_golden_once_per_frame_count(source, tmp_path, monkeypatch):
@@ -134,6 +152,35 @@ def test_run_simulates_golden_once_per_frame_count(source, tmp_path, monkeypatch
         candidate = [f for i, is_golden, f in sims if i == r and not is_golden]
         assert golden and sorted(golden) == sorted(set(candidate))
         assert len(candidate) > len(golden)
+
+
+def test_all_skipped_group_is_reused_not_proposed_again(tmp_path, monkeypatch):
+    """After a group whose every slot was skipped, the parent and the
+    library's entries are unchanged, so without an LLM the run reuses that
+    group instead of diagnosing and proposing again; every iteration is
+    still recorded."""
+    design = parse(CHAIN_ADDER_8, "chain.rtl")
+    real_propose = orchestrator.propose_group
+    calls = []
+
+    def counting_propose(*args, **kwargs):
+        calls.append(len(calls))
+        return real_propose(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "propose_group", counting_propose)
+    result = run(design, _config(iterations=10), str(tmp_path))
+    with open(os.path.join(result.run_dir, "state.json")) as fh:
+        state = RunState.from_dict(json.load(fh))
+    assert len(state.iterations) == 10
+    assert all(it.finalized for it in state.iterations)
+    all_skipped = [all(c.status == "skipped" for c in it.candidates)
+                   for it in state.iterations]
+    first = all_skipped.index(True)
+    assert first < 8 and all(all_skipped[first:])
+    assert len(calls) == first + 1
+    repeated = [(it.parent_id, it.diagnoses, [c.note for c in it.candidates])
+                for it in state.iterations[first:]]
+    assert all(it == repeated[0] for it in repeated)
 
 
 def test_run_respects_iteration_budget(tmp_path):

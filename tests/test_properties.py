@@ -1,43 +1,84 @@
 """Property-based checks over randomly generated expressions and groups."""
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import assume, given, settings
 
-from rtlopt.dsl import parse, print_design, simulate
+from rtlopt.dsl import CompiledDesign, parse, print_design, simulate, uint_dtype
 from rtlopt.scoring import group_advantage
 
 _VARS = ("a", "b", "c")
+# Both sides of every dtype boundary of the batch engine.
+_WIDTHS = (2, 7, 8, 9, 16, 17, 32, 33, 64)
 
 
-def _exprs(depth):
-    leaf = st.sampled_from([*_VARS, "2'd0", "2'd1", "2'd2", "2'd3"])
+def _corners(width):
+    mask = (1 << width) - 1
+    return sorted({0, 1, mask, mask >> 1, 1 << (width - 1)})
+
+
+def _exprs(width, depth):
+    """Expressions over ``width``-bit ports; compares and 1-bit slices
+    appear as mux selects."""
+    consts = st.sampled_from(_corners(width)).map(lambda v: f"{width}'d{v}")
+    leaf = st.one_of(st.sampled_from(_VARS), consts)
     if depth == 0:
         return leaf
-    sub = _exprs(depth - 1)
+    sub = _exprs(width, depth - 1)
     binary = st.tuples(st.sampled_from(["&", "|", "^", "+", "-"]), sub, sub).map(
         lambda t: f"({t[1]} {t[0]} {t[2]})")
     unary = sub.map(lambda e: f"(~{e})")
-    shift = st.tuples(sub, st.sampled_from(["<<", ">>"]), st.integers(0, 1)).map(
+    shift = st.tuples(sub, st.sampled_from(["<<", ">>"]), st.integers(0, width - 1)).map(
         lambda t: f"({t[0]} {t[1]} {t[2]})")
-    return st.one_of(leaf, binary, unary, shift)
+    select = st.one_of(
+        st.tuples(sub, st.sampled_from(["==", "<"]), sub).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"),
+        st.tuples(sub, st.integers(0, width - 1)).map(lambda t: f"{t[0]}[{t[1]}:{t[1]}]"))
+    mux = st.tuples(select, sub, sub).map(lambda t: f"({t[0]} ? {t[1]} : {t[2]})")
+    return st.one_of(leaf, binary, unary, shift, mux)
 
 
-def _design(expr_text):
-    ports = ", ".join(f"input [1:0] {v}" for v in _VARS)
-    return parse(f"module gen({ports}, output [1:0] y);\n"
+_designs = st.sampled_from(_WIDTHS).flatmap(
+    lambda w: st.tuples(st.just(w), _exprs(w, 3)))
+
+
+def _design(width, expr_text):
+    ports = ", ".join(f"input [{width - 1}:0] {v}" for v in _VARS)
+    return parse(f"module gen({ports}, output [{width - 1}:0] y);\n"
                  f"  assign y = {expr_text};\nendmodule\n")
 
 
+def _corner_traces(width):
+    mask = (1 << width) - 1
+    return [[{"a": a, "b": b, "c": (a + b) & mask}]
+            for a in _corners(width) for b in _corners(width)]
+
+
 @settings(max_examples=200, deadline=None)
-@given(_exprs(3))
-def test_print_parse_roundtrip_preserves_semantics(expr_text):
-    design = _design(expr_text)
+@given(_designs)
+def test_print_parse_roundtrip_preserves_semantics(case):
+    design = _design(*case)
     reparsed = parse(print_design(design))
     assert print_design(reparsed) == print_design(design)
-    for a in range(4):
-        for b in range(4):
-            trace = [{"a": a, "b": b, "c": (a + b) & 3}]
-            assert simulate(design, trace, 1) == simulate(reparsed, trace, 1)
+    for trace in _corner_traces(case[0]):
+        assert simulate(design, trace, 1) == simulate(reparsed, trace, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_designs, st.lists(st.tuples(*[st.integers(0, (1 << 64) - 1)] * len(_VARS)),
+                          max_size=8))
+def test_batch_engine_matches_interpreter(case, drawn):
+    width = case[0]
+    design = _design(*case)
+    mask = (1 << width) - 1
+    traces = _corner_traces(width) + [
+        [{v: x & mask for v, x in zip(_VARS, row)}] for row in drawn]
+    batch = CompiledDesign(design).run(
+        [{v: np.array([t[0][v] for t in traces], dtype=uint_dtype(width))
+          for v in _VARS}], 1)
+    got = batch[0]["y"]
+    assert got.dtype == uint_dtype(width)
+    assert [int(x) for x in got] == [simulate(design, t, 1)[0]["y"] for t in traces]
 
 
 @settings(max_examples=200, deadline=None)

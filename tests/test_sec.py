@@ -18,11 +18,12 @@ from rtlopt.backend import (
     SEC_CHUNK,
     SEC_EXHAUSTIVE,
     SEC_SAMPLE_COUNT,
+    SEC_SAMPLE_SEED,
     GoldenSec,
     PortInterfaceMismatch,
     check_equivalence,
 )
-from rtlopt.dsl import CompiledDesign, parse, simulate
+from rtlopt.dsl import CompiledDesign, parse, simulate, uint_dtype
 
 
 def _assert_replays(golden, candidate, cex):
@@ -73,6 +74,48 @@ def test_directed_rows_precede_the_random_sample():
     assert {0, 1, 0xFFFFFFFF, 0x80000000} <= head
 
 
+LAYOUT = """\
+module lay(input [31:0] a, input [31:0] b, input s, input [8:0] n, input [63:0] z,
+           output [31:0] y, output f, output [8:0] m, output [63:0] w);
+  assign y = s ? a + b : a - b;
+  assign f = a < b;
+  assign m = n ^ a[8:0];
+  assign w = z + 64'd1;
+endmodule
+"""
+
+
+@pytest.mark.parametrize("source,mode", [
+    (LAYOUT, SEC_BOUNDED),
+    ("module m(input a, input [3:0] b, output [3:0] y); assign y = a ? b : ~b; endmodule",
+     SEC_EXHAUSTIVE),
+])
+def test_reference_holds_each_port_in_its_narrowest_dtype(source, mode, bcfg):
+    golden = parse(source)
+    ref = GoldenSec(golden).reference(2)
+    assert ref.mode == mode
+    for frame in range(2):
+        for p in golden.input_ports:
+            assert ref.inputs[frame][p.name].dtype == uint_dtype(p.width), p.name
+        for p in golden.output_ports:
+            assert ref.outputs[frame][p.name].dtype == uint_dtype(p.width), p.name
+    if mode == SEC_BOUNDED:
+        # The sample is still drawn as uint64, port by port, frame by frame.
+        rng = np.random.default_rng(SEC_SAMPLE_SEED)
+        directed = ref.rows - SEC_SAMPLE_COUNT
+        for frame in range(2):
+            for p in golden.input_ports:
+                drawn = rng.integers(0, 1 << p.width, size=SEC_SAMPLE_COUNT,
+                                     dtype=np.uint64)
+                assert np.array_equal(ref.inputs[frame][p.name][directed:], drawn)
+    broken = parse(source.replace("~b", "b").replace("a < b", "b < a"))
+    cex = check_equivalence(golden, broken, bcfg).counterexample
+    values = [cex.golden_value, cex.candidate_value,
+              *(v for frame in cex.input_trace for v in frame.values())]
+    assert all(type(v) is int for v in values)
+    _assert_replays(golden, broken, cex)
+
+
 def test_counterexample_past_the_first_chunk_replays(bcfg):
     """The pair's only mismatching samples lie in a later chunk, so a
     counterexample indexed within its chunk alone would not replay."""
@@ -102,7 +145,7 @@ def test_context_reuses_stimulus_and_golden_traces(bcfg):
 
 
 def test_context_builds_each_reference_once_across_threads(monkeypatch):
-    """The evaluation pool's threads ask for the same frame count at once;
+    """Threads that ask for the same frame count at once share one build;
     only one of them simulates the golden."""
     golden = parse(CHAIN_ADDER_8)
     sec = GoldenSec(golden)
