@@ -15,13 +15,13 @@ import os
 import re
 import subprocess
 import tempfile
-import threading
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dsl import CompiledDesign, Expr, RtlDesign, topo_order, uint_dtype
+from .records import Record, Settings
 from .timing import Stage, TimingPath, TimingReport
 
 # Delay model (ns); w is the operand width. Width-dependent terms make wide
@@ -97,17 +97,10 @@ def _operand_width(expr: Expr) -> int:
 
 
 @dataclass(frozen=True)
-class PpaMetrics:
+class PpaMetrics(Record):
     wns: float   # ns; negative when violated, positive when met
     tns: float   # ns; sum of negative endpoint slacks, always <= 0
     area: float  # area units
-
-    def to_dict(self) -> dict:
-        return {"wns": self.wns, "tns": self.tns, "area": self.area}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PpaMetrics":
-        return cls(d["wns"], d["tns"], d["area"])
 
 
 @dataclass(frozen=True)
@@ -118,15 +111,6 @@ class Counterexample:
     golden_value: int
     candidate_value: int
 
-    def to_dict(self) -> dict:
-        return {
-            "input_trace": [dict(v) for v in self.input_trace],
-            "frame": self.frame,
-            "output": self.output,
-            "golden_value": self.golden_value,
-            "candidate_value": self.candidate_value,
-        }
-
 
 @dataclass(frozen=True)
 class SecVerdict:
@@ -136,28 +120,15 @@ class SecVerdict:
 
 
 @dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Record):
     metrics: PpaMetrics
     sec_pass: bool
     sec_mode: str
     timing_report: TimingReport
 
-    def to_dict(self) -> dict:
-        return {
-            "metrics": self.metrics.to_dict(),
-            "sec_pass": self.sec_pass,
-            "sec_mode": self.sec_mode,
-            "timing_report": self.timing_report.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalResult":
-        return cls(PpaMetrics.from_dict(d["metrics"]), d["sec_pass"], d["sec_mode"],
-                   TimingReport.from_dict(d["timing_report"]))
-
 
 @dataclass(frozen=True)
-class ExternalConfig:
+class ExternalConfig(Settings):
     synth_command_template: str
     sec_command_template: str = ""
     metric_patterns: dict = field(default_factory=dict)  # name -> regex with one group
@@ -166,7 +137,7 @@ class ExternalConfig:
 
 
 @dataclass(frozen=True)
-class BackendConfig:
+class BackendConfig(Settings):
     kind: str = "builtin"  # "builtin" | "external"
     clock_period: float | None = None  # None -> per-kind default
     external: ExternalConfig | None = None
@@ -180,24 +151,6 @@ class BackendConfig:
             raise ValueError("clock_period must be > 0")
         if self.kind not in ("builtin", "external"):
             raise ValueError(f"unknown backend kind {self.kind!r}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BackendConfig":
-        if d.get("external") is not None:
-            d = {**d, "external": ExternalConfig(**d["external"])}
-        return cls(**d)
-
-    def to_dict(self) -> dict:
-        d = {"kind": self.kind, "clock_period": self.clock_period}
-        if self.external is not None:
-            d["external"] = {
-                "synth_command_template": self.external.synth_command_template,
-                "sec_command_template": self.external.sec_command_template,
-                "metric_patterns": dict(self.external.metric_patterns),
-                "report_files": list(self.external.report_files),
-                "timeout_s": self.external.timeout_s,
-            }
-        return d
 
 
 # --- builtin static timing analysis ---------------------------------------
@@ -300,23 +253,21 @@ class GoldenSec:
 
     Neither depends on the candidate, only on the golden design and the
     frame count, so each is built once per frame count and shared by every
-    check against this golden. Building holds a lock, so threads that ask
-    for the same frame count at once share one build.
+    check against this golden. Not thread-safe: candidates are evaluated
+    one after another on the loop's thread.
     """
 
     def __init__(self, golden: RtlDesign):
         self.golden = golden
         self._by_frames: dict[int, _Reference] = {}
-        self._lock = threading.Lock()
 
     def reference(self, frames: int) -> _Reference:
-        with self._lock:
-            ref = self._by_frames.get(frames)
-            if ref is None:
-                mode, rows, inputs = _stimulus(self.golden, frames)
-                outputs = CompiledDesign(self.golden).run(inputs, frames)
-                ref = self._by_frames[frames] = _Reference(mode, rows, inputs, outputs)
-            return ref
+        ref = self._by_frames.get(frames)
+        if ref is None:
+            mode, rows, inputs = _stimulus(self.golden, frames)
+            outputs = CompiledDesign(self.golden).run(inputs, frames)
+            ref = self._by_frames[frames] = _Reference(mode, rows, inputs, outputs)
+        return ref
 
 
 def _constants(design: RtlDesign) -> set[int]:
@@ -546,7 +497,11 @@ class ExternalBackend:
         # flow populates the canonical JSON schema itself.
         report_json = run.reports.get("timing_report.json")
         if report_json is not None:
-            report = TimingReport.from_dict(json.loads(report_json))
+            try:
+                report = TimingReport.from_dict(json.loads(report_json))
+            except (ValueError, KeyError, TypeError) as exc:
+                raise BackendError(
+                    f"timing_report.json is not in the interchange schema: {exc!r}") from exc
         else:
             report = TimingReport(self.config.clock_period, ())
         return metrics, report

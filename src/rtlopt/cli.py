@@ -1,8 +1,8 @@
 """Command-line surface: optimize, eval, show, skills, report.
 
-Configuration is a single JSON file with sections backend / proposer /
-scoring / run; every default matches the built-in evaluation setup so an
-empty config file is a valid run.
+Configuration is a single JSON object with sections backend / proposer /
+scoring / run, each a JSON object; every default matches the built-in
+evaluation setup so an empty config file is a valid run.
 
 Exit codes: 0 success, 1 configuration error, 2 baseline evaluation failure.
 """
@@ -42,9 +42,14 @@ def load_config(path: str | None) -> RunConfig:
                 raw = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"invalid config: {path} is not a JSON object")
     unknown = set(raw) - CONFIG_SECTIONS
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for name, section in raw.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"invalid config: section {name!r} is not a JSON object")
     merged = dict(raw.get("run", {}))
     if "backend" in raw:
         merged["backend"] = raw["backend"]

@@ -2,8 +2,8 @@
 
 A design is a flat module: typed ports, wire/reg declarations, continuous
 assigns, and one implicit-clock block of nonblocking register updates.
-Everything is immutable after elaboration so designs can be shared freely
-across concurrent evaluators.
+Everything is immutable after elaboration, so a design can be shared
+without copying.
 """
 
 from __future__ import annotations
@@ -13,10 +13,7 @@ from dataclasses import dataclass, field
 MAX_WIDTH = 64
 
 # Expression node kinds.
-UNARY_OPS = frozenset({"not"})
 BINARY_OPS = frozenset({"and", "or", "xor", "add", "sub", "eq", "lt"})
-SHIFT_OPS = frozenset({"shl", "shr"})
-ALL_KINDS = frozenset({"const", "var", "slice", "mux"}) | UNARY_OPS | BINARY_OPS | SHIFT_OPS
 
 # Operators that are associative and commutative; chains of these may be
 # reassociated by the rewriter.

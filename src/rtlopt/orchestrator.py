@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from . import backend as be
 from .dsl import RtlDesign, parse
 from .proposer import Proposal, ProposerConfig, propose_group
+from .records import Record, Settings
 from .scoring import ScoreWeights, group_advantage, score, select_next
 from .skills import SkillLibrary, distill, export_library
 from .timing import diagnose, select_critical_paths
@@ -35,7 +36,7 @@ from .trajectory import (
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Settings):
     iterations: int = 10
     candidates: int = 5
     top_k_paths: int = 3
@@ -49,29 +50,9 @@ class RunConfig:
         if self.iterations < 1 or self.candidates < 1:
             raise ValueError("iterations and candidates must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "candidates": self.candidates,
-            "top_k_paths": self.top_k_paths,
-            "weights": self.weights.to_dict(),
-            "backend": self.backend.to_dict(),
-            "proposer": self.proposer.to_dict(),
-            "convergence_epsilon": self.convergence_epsilon,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        """Unknown keys raise TypeError; absent ones take the field default."""
-        sections = {"weights": ScoreWeights, "backend": be.BackendConfig,
-                    "proposer": ProposerConfig}
-        return cls(**{k: sections[k].from_dict(v) if k in sections else v
-                      for k, v in d.items()})
-
 
 @dataclass
-class RunResult:
+class RunResult(Record):
     best_metrics: be.PpaMetrics
     best_design_ref: str
     best_score: float
@@ -83,19 +64,11 @@ class RunResult:
     run_dir: str
 
     def to_dict(self) -> dict:
-        return {
-            "best_metrics": self.best_metrics.to_dict(),
-            "best_design_ref": self.best_design_ref,
-            "best_score": self.best_score,
-            "improvement": dict(self.improvement),
-            "sec_pass_rate": self.sec_pass_rate,
-            "convergence_steps": self.convergence_steps,
-            "best_so_far": list(self.best_so_far),
-            "status": self.status,
-            # Only the run id is serialized; the absolute directory is
-            # environment-specific and would break byte-identical artifacts.
-            "run_id": os.path.basename(self.run_dir),
-        }
+        d = super().to_dict()
+        # Only the run id is serialized; the absolute directory is
+        # environment-specific and would break byte-identical artifacts.
+        d["run_id"] = os.path.basename(d.pop("run_dir"))
+        return d
 
 
 class BaselineEvaluationError(Exception):

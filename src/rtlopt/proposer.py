@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .dsl import RtlDesign, print_design
+from .records import Settings
 from .rewrites import STRATEGY_FUNCTIONS, NotApplicable, apply_strategy
 from .skills import SkillLibrary, match
 from .timing import BottleneckDiagnosis
@@ -23,25 +24,16 @@ PROVENANCE_LLM = "llm"
 
 
 @dataclass(frozen=True)
-class LlmSettings:
+class LlmSettings(Settings):
     base_url: str
     model: str
     credential_env: str = "RTLOPT_LLM_TOKEN"
     timeout_s: float = 120.0
     max_retries: int = 2
 
-    def to_dict(self) -> dict:
-        return {"base_url": self.base_url, "model": self.model,
-                "credential_env": self.credential_env,
-                "timeout_s": self.timeout_s, "max_retries": self.max_retries}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LlmSettings":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class ProposerConfig:
+class ProposerConfig(Settings):
     n_candidates: int = 5
     exploration_fraction: float = 0.4
     llm: LlmSettings | None = None
@@ -51,19 +43,6 @@ class ProposerConfig:
             raise ValueError("n_candidates must be >= 1")
         if not 0.0 <= self.exploration_fraction <= 1.0:
             raise ValueError("exploration_fraction must be in [0, 1]")
-
-    def to_dict(self) -> dict:
-        d = {"n_candidates": self.n_candidates,
-             "exploration_fraction": self.exploration_fraction}
-        if self.llm is not None:
-            d["llm"] = self.llm.to_dict()
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProposerConfig":
-        if d.get("llm") is not None:
-            d = {**d, "llm": LlmSettings.from_dict(d["llm"])}
-        return cls(**d)
 
 
 @dataclass

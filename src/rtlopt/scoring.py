@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass
 
 from .backend import PpaMetrics
+from .records import Record, Settings
 
 NORMALIZE_CAP = 10.0
 _ZERO = 1e-9
 
 
 @dataclass(frozen=True)
-class ScoreWeights:
+class ScoreWeights(Settings):
     alpha: float = 0.5
     beta: float = 0.35
     gamma: float = 0.15
@@ -33,47 +34,21 @@ class ScoreWeights:
         if self.area_penalty_threshold <= 0:
             raise ValueError("area_penalty_threshold must be > 0")
 
-    def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "gamma": self.gamma,
-                "area_penalty": self.area_penalty,
-                "area_penalty_threshold": self.area_penalty_threshold}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ScoreWeights":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class CandidateScore:
+class CandidateScore(Record):
     wns_norm: float
     tns_norm: float
     area_norm: float
     penalty: float
     score: float
 
-    def to_dict(self) -> dict:
-        return {"wns_norm": self.wns_norm, "tns_norm": self.tns_norm,
-                "area_norm": self.area_norm, "penalty": self.penalty,
-                "score": self.score}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CandidateScore":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class GroupStats:
+class GroupStats(Record):
     mean: float
     stddev: float  # population
     advantages: tuple[float, ...]
-
-    def to_dict(self) -> dict:
-        return {"mean": self.mean, "stddev": self.stddev,
-                "advantages": list(self.advantages)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroupStats":
-        return cls(d["mean"], d["stddev"], tuple(d["advantages"]))
 
 
 def normalize(value: float, baseline: float) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 
+from .records import Settings
 from .rewrites import STRATEGY_FUNCTIONS
 from .timing import ROOT_CAUSE_PATTERN
 from .trajectory import CANDIDATE_OK, IterationRecord, canonical_json
@@ -45,7 +46,7 @@ class SkillError(Exception):
 
 
 @dataclass
-class Skill:
+class Skill(Settings):
     pattern: str
     strategy: str
     occurrence_count: int = 0
@@ -59,21 +60,9 @@ class Skill:
     def skill_id(self) -> str:
         return f"{self.pattern}::{self.strategy}"
 
-    def to_dict(self) -> dict:
-        return {
-            "pattern": self.pattern,
-            "strategy": self.strategy,
-            "occurrence_count": self.occurrence_count,
-            "sec_pass_count": self.sec_pass_count,
-            "mean_advantage": self.mean_advantage,
-            "tier": self.tier,
-            "template": self.template,
-            "notes": self.notes,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "Skill":
-        skill = cls(**d)
+        skill = super().from_dict(d)
         if skill.pattern not in PATTERNS:
             raise SkillError(f"unknown pattern {skill.pattern!r}")
         if skill.strategy not in STRATEGIES:

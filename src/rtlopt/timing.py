@@ -15,6 +15,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .dsl import Expr, RtlDesign, reference_counts
+from .records import Record
 
 # Diagnosis root cause -> skill-library pattern id.
 ROOT_CAUSE_PATTERN = {
@@ -39,7 +40,7 @@ DEPTH_LIMIT = 6
 
 
 @dataclass(frozen=True)
-class Stage:
+class Stage(Record):
     node: str
     op: str
     delay_ns: float
@@ -48,93 +49,45 @@ class Stage:
     col: int = 0
     width: int = 1
 
+    def to_dict(self) -> dict:
+        return {"node": self.node, "op": self.op, "delay_ns": self.delay_ns,
+                "loc": {"file": self.file, "line": self.line}}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "Stage":
+        return cls(node=d["node"], op=d["op"], delay_ns=d["delay_ns"],
+                   file=d["loc"]["file"], line=d["loc"]["line"])
+
 
 @dataclass(frozen=True)
-class TimingPath:
+class TimingPath(Record):
     startpoint: str
     endpoint: str
     slack_ns: float
     stages: tuple[Stage, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "startpoint": self.startpoint,
-            "endpoint": self.endpoint,
-            "slack_ns": self.slack_ns,
-            "stages": [
-                {"node": s.node, "op": s.op, "delay_ns": s.delay_ns,
-                 "loc": {"file": s.file, "line": s.line}}
-                for s in self.stages
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TimingPath":
-        return cls(
-            startpoint=d["startpoint"],
-            endpoint=d["endpoint"],
-            slack_ns=d["slack_ns"],
-            stages=tuple(
-                Stage(node=s["node"], op=s["op"], delay_ns=s["delay_ns"],
-                      file=s["loc"]["file"], line=s["loc"]["line"])
-                for s in d["stages"]
-            ),
-        )
-
 
 @dataclass(frozen=True)
-class TimingReport:
+class TimingReport(Record):
     clock_ns: float
     endpoints: tuple[TimingPath, ...]  # sorted ascending by slack
 
-    def to_dict(self) -> dict:
-        return {
-            "clock_ns": self.clock_ns,
-            "endpoints": [p.to_dict() for p in self.endpoints],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TimingReport":
-        return cls(d["clock_ns"], tuple(TimingPath.from_dict(p) for p in d["endpoints"]))
-
 
 @dataclass(frozen=True)
-class RtlRegion:
+class RtlRegion(Record):
     file: str
     start_line: int
     end_line: int
     confidence: str  # "exact" | "heuristic" | "heuristic-failed"
 
-    def to_dict(self) -> dict:
-        return {"file": self.file, "start_line": self.start_line,
-                "end_line": self.end_line, "confidence": self.confidence}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RtlRegion":
-        return cls(d["file"], d["start_line"], d["end_line"], d["confidence"])
-
 
 @dataclass(frozen=True)
-class BottleneckDiagnosis:
+class BottleneckDiagnosis(Record):
     path: TimingPath
     pattern: str
     root_cause: str
     rtl_region: RtlRegion
     evidence: str
-
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path.to_dict(),
-            "pattern": self.pattern,
-            "root_cause": self.root_cause,
-            "rtl_region": self.rtl_region.to_dict(),
-            "evidence": self.evidence,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BottleneckDiagnosis":
-        return cls(TimingPath.from_dict(d["path"]), d["pattern"], d["root_cause"],
-                   RtlRegion.from_dict(d["rtl_region"]), d["evidence"])
 
 
 def select_critical_paths(report: TimingReport, k: int) -> list[TimingPath]:

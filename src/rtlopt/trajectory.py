@@ -24,6 +24,7 @@ import os
 from dataclasses import dataclass, field
 
 from .backend import EvalResult
+from .records import Record
 from .scoring import CandidateScore, GroupStats
 from .timing import BottleneckDiagnosis
 
@@ -50,7 +51,7 @@ def design_hash(source: str) -> str:
 
 
 @dataclass
-class CandidateRecord:
+class CandidateRecord(Record):
     candidate_id: str
     design_ref: str            # content hash of the candidate source
     proposer_kind: str         # "skill-guided" | "llm" | "rule"
@@ -67,40 +68,9 @@ class CandidateRecord:
     def sec_pass(self) -> bool:
         return self.eval is not None and self.eval.sec_pass
 
-    def to_dict(self) -> dict:
-        return {
-            "candidate_id": self.candidate_id,
-            "design_ref": self.design_ref,
-            "proposer_kind": self.proposer_kind,
-            "skill_id": self.skill_id,
-            "strategy": self.strategy,
-            "path": self.path,
-            "eval": self.eval.to_dict() if self.eval else None,
-            "score": self.score.to_dict() if self.score else None,
-            "advantage": self.advantage,
-            "status": self.status,
-            "note": self.note,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CandidateRecord":
-        return cls(
-            candidate_id=d["candidate_id"],
-            design_ref=d["design_ref"],
-            proposer_kind=d["proposer_kind"],
-            skill_id=d["skill_id"],
-            strategy=d["strategy"],
-            path=d["path"],
-            eval=EvalResult.from_dict(d["eval"]) if d["eval"] else None,
-            score=CandidateScore.from_dict(d["score"]) if d["score"] else None,
-            advantage=d["advantage"],
-            status=d["status"],
-            note=d["note"],
-        )
-
 
 @dataclass
-class IterationRecord:
+class IterationRecord(Record):
     index: int
     parent_id: str
     group_size: int
@@ -110,34 +80,9 @@ class IterationRecord:
     selected: str | None = None
     finalized: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "index": self.index,
-            "parent_id": self.parent_id,
-            "group_size": self.group_size,
-            "diagnoses": [d.to_dict() for d in self.diagnoses],
-            "candidates": [c.to_dict() for c in self.candidates],
-            "group_stats": self.group_stats.to_dict() if self.group_stats else None,
-            "selected": self.selected,
-            "finalized": self.finalized,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "IterationRecord":
-        return cls(
-            index=d["index"],
-            parent_id=d["parent_id"],
-            group_size=d["group_size"],
-            diagnoses=[BottleneckDiagnosis.from_dict(x) for x in d["diagnoses"]],
-            candidates=[CandidateRecord.from_dict(c) for c in d["candidates"]],
-            group_stats=GroupStats.from_dict(d["group_stats"]) if d["group_stats"] else None,
-            selected=d["selected"],
-            finalized=d["finalized"],
-        )
-
 
 @dataclass
-class RunState:
+class RunState(Record):
     run_id: str
     design_name: str
     config: dict
@@ -145,29 +90,6 @@ class RunState:
     baseline_design_ref: str | None = None
     iterations: list[IterationRecord] = field(default_factory=list)
     status: str = STATUS_RUNNING
-
-    def to_dict(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "design_name": self.design_name,
-            "config": self.config,
-            "baseline": self.baseline,
-            "baseline_design_ref": self.baseline_design_ref,
-            "iterations": [it.to_dict() for it in self.iterations],
-            "status": self.status,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunState":
-        return cls(
-            run_id=d["run_id"],
-            design_name=d["design_name"],
-            config=d["config"],
-            baseline=d["baseline"],
-            baseline_design_ref=d["baseline_design_ref"],
-            iterations=[IterationRecord.from_dict(it) for it in d["iterations"]],
-            status=d["status"],
-        )
 
 
 class TrajectoryStore:

@@ -78,6 +78,22 @@ def test_optimize_config_error_exit_1(design_file, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("payload", [
+    5, None, {"backend": None}, {"proposer": None}, {"run": None}, {"run": []},
+    {"run": {"seed": None}}, {"backend": {"external": 5}},
+], ids=["number", "null", "backend-null", "proposer-null", "run-null", "run-list",
+        "field-null", "external-number"])
+def test_optimize_config_not_objects_is_one_line_error(design_file, tmp_path, capsys,
+                                                       payload):
+    config = _write(tmp_path, "bad.json", payload)
+    code = main(["optimize", "--design", design_file, "--config", config,
+                 "--out", str(tmp_path / "runs")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config") and err.count("\n") == 1
+    assert not os.path.exists(str(tmp_path / "runs"))
+
+
 def test_optimize_unparseable_design_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.rtl"
     bad.write_text("module nope(")

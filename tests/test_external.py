@@ -1,5 +1,6 @@
 """External command adapter: templating, extraction, SEC exit codes."""
 
+import json
 import tempfile
 
 import pytest
@@ -16,6 +17,7 @@ from rtlopt.backend import (
     synthesize,
 )
 from rtlopt.dsl import parse
+from rtlopt.timing import Stage, TimingPath, TimingReport
 
 PATTERNS = {"wns": r"wns\s+(-?\d+\.\d+)",
             "tns": r"tns\s+(-?\d+\.\d+)",
@@ -66,6 +68,46 @@ def test_external_synthesize_extracts_metrics():
     assert metrics.area == pytest.approx(240.0)
     assert report.clock_ns == pytest.approx(0.1)
     assert report.endpoints == ()
+
+
+INTERCHANGE_REPORT = {
+    "clock_ns": 0.1,
+    "endpoints": [{
+        "startpoint": "a", "endpoint": "y", "slack_ns": -0.05,
+        "stages": [{"node": "u1", "op": "add", "delay_ns": 0.12,
+                    "loc": {"file": "chain.rtl", "line": 3}},
+                   {"node": "u2", "op": "add", "delay_ns": 0.03,
+                    "loc": {"file": "chain.rtl", "line": 4}}],
+    }],
+}
+
+
+def _report_flow(tmp_path, report):
+    """An external flow that writes ``report`` as its timing_report.json."""
+    src = tmp_path / "report.json"
+    src.write_text(json.dumps(report))
+    return _ext_config(
+        synth=f"cp {src} timing_report.json; "
+              "echo 'wns -0.05'; echo 'tns -0.05'; echo 'area 240'",
+        report_files=("timing_report.json",))
+
+
+def test_external_synthesize_reads_interchange_timing_report(tmp_path):
+    _, report = synthesize(parse(CHAIN_ADDER_8), _report_flow(tmp_path, INTERCHANGE_REPORT))
+    assert report == TimingReport(0.1, (TimingPath("a", "y", -0.05, (
+        Stage("u1", "add", 0.12, "chain.rtl", 3),
+        Stage("u2", "add", 0.03, "chain.rtl", 4))),))
+    assert report.to_dict() == INTERCHANGE_REPORT
+
+
+@pytest.mark.parametrize("report", [
+    {**INTERCHANGE_REPORT, "wns": -0.05},
+    {"clock_ns": 0.1},
+    {"clock_ns": 0.1, "endpoints": [{"startpoint": "a"}]},
+], ids=["unknown-key", "missing-endpoints", "missing-path-keys"])
+def test_external_synthesize_rejects_report_off_schema(tmp_path, report):
+    with pytest.raises(BackendError, match="interchange schema"):
+        synthesize(parse(CHAIN_ADDER_8), _report_flow(tmp_path, report))
 
 
 def test_external_synthesize_nonzero_exit_raises():

@@ -5,6 +5,7 @@ unused check.
 """
 
 import ast
+import functools
 import pathlib
 
 import pytest
@@ -13,6 +14,7 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rtlopt"
 MODULES = sorted(SRC.rglob("*.py"))
 
 
+@functools.cache
 def _tree(path):
     return ast.parse(path.read_text(), filename=str(path))
 
@@ -42,3 +44,29 @@ def test_imports_only_at_module_level(path):
               if isinstance(node, (ast.Import, ast.ImportFrom))
               and id(node) not in module_level]
     assert nested == []
+
+
+def _assigned_names(tree):
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign) else [])
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                    yield name.id
+
+
+def _read_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_module_level_names_are_read(path):
+    """No dead vocabulary: every module-level constant is read somewhere in
+    src/rtlopt, by name or as a module attribute."""
+    read = {name for module in MODULES for name in _read_names(_tree(module))}
+    assert [name for name in _assigned_names(_tree(path)) if name not in read] == []

@@ -1,8 +1,6 @@
 """SEC oracle: corpus classification, counterexample replay, properties."""
 
 import itertools
-import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -144,24 +142,23 @@ def test_context_reuses_stimulus_and_golden_traces(bcfg):
     assert sec.reference(2) is sec.reference(2)
 
 
-def test_context_builds_each_reference_once_across_threads(monkeypatch):
-    """Threads that ask for the same frame count at once share one build;
-    only one of them simulates the golden."""
+def test_context_builds_each_reference_once_per_frame_count(monkeypatch):
+    """Only the first check at a frame count simulates the golden; later
+    ones at that count get the same reference object."""
     golden = parse(CHAIN_ADDER_8)
     sec = GoldenSec(golden)
     real_run = CompiledDesign.run
     sims = []
 
-    def slow_run(self, input_arrays, frames):
+    def counting_run(self, input_arrays, frames):
         sims.append(frames)
-        time.sleep(0.05)  # hold the build open while the other threads arrive
         return real_run(self, input_arrays, frames)
 
-    monkeypatch.setattr(CompiledDesign, "run", slow_run)
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        refs = list(pool.map(sec.reference, [2, 2, 2, 2, 3]))
-    assert sorted(sims) == [2, 3]
+    monkeypatch.setattr(CompiledDesign, "run", counting_run)
+    refs = [sec.reference(frames) for frames in [2, 2, 2, 2, 3]]
+    assert sims == [2, 3]
     assert all(ref is refs[0] for ref in refs[:4])
+    assert refs[4] is not refs[0]
 
 
 @pytest.mark.parametrize("golden_src,candidate_src",
