@@ -2,9 +2,10 @@
 
 The builtin backend computes endpoint delays by longest-path traversal of
 the expression DAG with a fixed delay/area table, and checks sequential
-equivalence by exhaustive or seeded-random co-simulation from the zero
-state. The external backend shells out to a user-configured toolchain and
-extracts metrics with named regex patterns; it never interprets reports.
+equivalence by comparing normal forms of register-free designs, then by
+exhaustive or seeded-random co-simulation from the zero state. The external
+backend shells out to a user-configured toolchain and extracts metrics with
+named regex patterns; it never interprets reports.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsl import CompiledDesign, Expr, RtlDesign, topo_order, uint_dtype
+from .dsl import CompiledDesign, Expr, NormalForms, RtlDesign, topo_order, uint_dtype
 from .records import Record, Settings
 from .timing import Stage, TimingPath, TimingReport
 
@@ -43,6 +44,7 @@ SEC_SAMPLE_SEED = 0xD0
 # costs about what one unchunked pass does; at 4k chunks it cost up to 2x.
 SEC_CHUNK = 16_384
 
+SEC_SYMBOLIC = "symbolic"
 SEC_EXHAUSTIVE = "exhaustive"
 SEC_BOUNDED = "bounded-sampled"
 SEC_EXTERNAL = "external"
@@ -249,17 +251,32 @@ class _Reference:
 
 
 class GoldenSec:
-    """Per-run SEC context: the golden design's stimulus and output traces.
+    """Per-run SEC context: the golden design's normal forms, stimulus and
+    output traces.
 
-    Neither depends on the candidate, only on the golden design and the
-    frame count, so each is built once per frame count and shared by every
-    check against this golden. Not thread-safe: candidates are evaluated
-    one after another on the loop's thread.
+    None of them depends on the candidate: the output forms are computed on
+    the first check of a register-free candidate, and the stimulus and
+    traces once per frame count on the first check that simulates. All are
+    shared by every check against this golden, and the intern table that
+    candidates' forms join lasts as long as the context. Not thread-safe:
+    candidates are evaluated one after another on the loop's thread.
     """
 
     def __init__(self, golden: RtlDesign):
         self.golden = golden
         self._by_frames: dict[int, _Reference] = {}
+        self._forms = NormalForms()
+        self._golden_forms: tuple[int, ...] | None = None
+
+    def proves(self, candidate: RtlDesign) -> bool:
+        """True when neither design has registers and every output of the
+        candidate has the golden's normal form, which proves equivalence.
+        False proves nothing."""
+        if self.golden.registers or candidate.registers:
+            return False
+        if self._golden_forms is None:
+            self._golden_forms = self._forms.outputs(self.golden)
+        return self._forms.outputs(candidate) == self._golden_forms
 
     def reference(self, frames: int) -> _Reference:
         ref = self._by_frames.get(frames)
@@ -333,7 +350,35 @@ def _stimulus(golden: RtlDesign, frames: int) -> tuple[str, int, list[dict[str, 
 
 def check_equivalence(golden: RtlDesign, candidate: RtlDesign,
                       config: BackendConfig, sec: GoldenSec | None = None) -> SecVerdict:
-    """Compare output traces of both designs from the zero state.
+    """Check that both designs give the same output traces from the zero state.
+
+    When neither design has registers and their normal forms are equal, the
+    verdict is a ``symbolic`` pass, a proof that needs no stimulus.
+    Otherwise the designs are co-simulated by :func:`simulate_equivalence`,
+    whose verdicts (failures and their counterexamples included) do not
+    depend on the normal forms. ``sec`` is the run's context for
+    ``golden``; without one, everything is built for this check alone.
+    """
+    if golden.port_signature() != candidate.port_signature():
+        raise PortInterfaceMismatch(
+            f"port interfaces differ: {golden.port_signature()} vs "
+            f"{candidate.port_signature()}")
+
+    if config.kind == "external":
+        return _external_sec(golden, candidate, config)
+
+    if sec is None:
+        sec = GoldenSec(golden)
+    assert sec.golden is golden, "SEC context was built for another golden design"
+    if sec.proves(candidate):
+        return SecVerdict(True, SEC_SYMBOLIC)
+    return simulate_equivalence(golden, candidate, sec)
+
+
+def simulate_equivalence(golden: RtlDesign, candidate: RtlDesign,
+                         sec: GoldenSec | None = None) -> SecVerdict:
+    """Compare output traces of both designs from the zero state by
+    co-simulation; the ports must match.
 
     F = max register count + 2 frames. When total input bits x F fits the
     enumeration budget, every input sequence is checked; otherwise directed
@@ -344,14 +389,6 @@ def check_equivalence(golden: RtlDesign, candidate: RtlDesign,
     simulated SEC_CHUNK sequences at a time and the check stops at the
     first chunk with a mismatch.
     """
-    if golden.port_signature() != candidate.port_signature():
-        raise PortInterfaceMismatch(
-            f"port interfaces differ: {golden.port_signature()} vs "
-            f"{candidate.port_signature()}")
-
-    if config.kind == "external":
-        return _external_sec(golden, candidate, config)
-
     if sec is None:
         sec = GoldenSec(golden)
     assert sec.golden is golden, "SEC context was built for another golden design"

@@ -86,7 +86,11 @@ def cmd_optimize(args) -> int:
         return EXIT_CONFIG
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    library = sk.import_library(args.skills) if args.skills else sk.SkillLibrary()
+    try:
+        library = sk.import_library(args.skills) if args.skills else sk.SkillLibrary()
+    except sk.SkillError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     llm_client = (LlmClient(config.proposer.llm,
                             transcript_dir=os.path.join(args.out, "llm"))
                   if config.proposer.llm else None)

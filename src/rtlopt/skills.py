@@ -235,5 +235,13 @@ def export_library(library: SkillLibrary, path: str):
 
 
 def import_library(path: str) -> SkillLibrary:
-    with open(path) as fh:
-        return SkillLibrary.from_dict(json.load(fh))
+    """Read a library file; one that is missing, unreadable or malformed
+    raises SkillError."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise SkillError(f"skill library {path}: not a JSON object")
+        return SkillLibrary.from_dict(data)
+    except (OSError, ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise SkillError(f"skill library {path}: {exc!r}") from exc

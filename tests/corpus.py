@@ -1,7 +1,8 @@
 """Shared design corpus: equivalence pairs and rewrite targets.
 
-Widths are kept small enough that total input bits x frames stays inside
-the exhaustive-enumeration budget, so every verdict here is exact.
+Widths in the equivalence and rewrite lists are kept small enough that
+total input bits x frames stays inside the exhaustive-enumeration budget,
+so every simulated verdict there is exact.
 """
 
 CHAIN_ADDER_8 = """\
@@ -13,6 +14,19 @@ endmodule
 CHAIN_ADDER_8_VARIANT = """\
 module chainv(input [7:0] p, input [7:0] q, input [7:0] r, input [7:0] s, output [7:0] out);
   assign out = ((p + q) + r) + s;
+endmodule
+"""
+
+# The chain feeding a register: 32 input bits x 3 frames is over the
+# exhaustive budget, and a registered design is never proved by normal
+# form, so every check of it simulates.
+CHAIN_ADDER_8_REG = """\
+module chainq(input [7:0] a, input [7:0] b, input [7:0] c, input [7:0] d, output [7:0] y);
+  reg [7:0] q;
+  assign y = q;
+  always_ff begin
+    q <= ((a + b) + c) + d;
+  end
 endmodule
 """
 
@@ -205,4 +219,32 @@ endmodule"""),
      """module m(input [31:0] x, output [31:0] y);
   assign y = (x[31:16] == 16'hB0BF) ? 32'd0 : x;
 endmodule"""),
+]
+
+# --- normal-form near misses ------------------------------------------------
+# Non-equivalent pairs that a careless normal form would merge: operand
+# order of non-commutative operators, xor and add duplicates, slice and shift
+# parameters, and constants folded without reduction modulo 2**width. No
+# check may prove any of them; simulation must refute each.
+
+_NEAR_MISS_PORTS = "input [7:0] a, input [7:0] b"
+
+
+def _near_miss(width, golden_expr, candidate_expr):
+    out = f"output [{width - 1}:0] y" if width > 1 else "output y"
+    return tuple(f"module m({_NEAR_MISS_PORTS}, {out}); assign y = {e}; endmodule"
+                 for e in (golden_expr, candidate_expr))
+
+
+SYMBOLIC_NEAR_MISS_PAIRS = [
+    _near_miss(8, "a - b", "b - a"),
+    _near_miss(1, "a < b", "b < a"),
+    _near_miss(8, "(a ^ a) ^ b", "a ^ b"),
+    _near_miss(8, "(a + a) + b", "a + b"),
+    _near_miss(4, "a[4:1]", "a[3:0]"),
+    _near_miss(8, "a << 1", "a << 2"),
+    # 200 + 100 is 44 in 8 bits, so the select is 1 and y is a
+    _near_miss(8, "((8'd200 + 8'd100) < 8'd50) ? a : b", "b"),
+    # 200 + 100 is 44 in 8 bits, not 45
+    _near_miss(8, "(a + 8'd200) + 8'd100", "a + 8'd45"),
 ]

@@ -127,7 +127,7 @@ def test_eval_with_golden_reports_sec(design_file, tmp_path, capsys):
                  "--golden", design_file]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["sec_pass"] is True
-    assert payload["sec_mode"] == "bounded-sampled"
+    assert payload["sec_mode"] == "symbolic"
 
 
 def test_eval_port_mismatch_exit_2(design_file, tmp_path, capsys):
@@ -244,3 +244,24 @@ def test_skills_import_invalid_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"version\": 99, \"entries\": []}")
     assert main(["skills", "import", "--library", str(bad)]) == 1
+
+
+_BOGUS_ENTRY = {"version": 1, "entries": [{"pattern": "wide-arithmetic",
+                                          "strategy": "tree-rebalance", "bogus": 1}]}
+
+
+@pytest.mark.parametrize("command", ["skills", "optimize"])
+@pytest.mark.parametrize("payload", [_BOGUS_ENTRY, 5, None],
+                         ids=["unknown-key", "not-an-object", "missing"])
+def test_malformed_skill_library_is_one_line_error(design_file, tmp_path, capsys,
+                                                   command, payload):
+    library = tmp_path / "lib.json"
+    if payload is not None:
+        library.write_text(json.dumps(payload))
+    argv = (["skills", "list", "--library", str(library)] if command == "skills" else
+            ["optimize", "--design", design_file, "--skills", str(library),
+             "--out", str(tmp_path / "runs")])
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()

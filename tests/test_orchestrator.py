@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from corpus import CHAIN_ADDER_8, REWRITE_CORPUS
+from corpus import CHAIN_ADDER_8, CHAIN_ADDER_8_REG, REWRITE_CORPUS
 from rtlopt import orchestrator
 from rtlopt.backend import GoldenSec
 from rtlopt.dsl import CompiledDesign, parse
@@ -130,7 +130,7 @@ def test_evaluate_group_runs_slots_in_order_on_the_loops_thread(bcfg, monkeypatc
     assert {t for _, t in calls} == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("source", [CHAIN_ADDER_8, REWRITE_CORPUS[4]],
+@pytest.mark.parametrize("source", [CHAIN_ADDER_8_REG, REWRITE_CORPUS[4]],
                          ids=["bounded", "exhaustive"])
 def test_run_simulates_golden_once_per_frame_count(source, tmp_path, monkeypatch):
     """SEC's golden traces are built per run, not per candidate, and a

@@ -6,12 +6,16 @@ there would otherwise only show when the benchmark runs.
 
 import json
 import os
+import random
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
-from corpus import CHAIN_ADDER_8  # noqa: E402
+import check  # noqa: E402
+import workloads  # noqa: E402
+from corpus import CHAIN_ADDER_8_REG  # noqa: E402
+from rtlopt.backend import SEC_SYMBOLIC  # noqa: E402
 from rtlopt.dsl import parse  # noqa: E402
 from rtlopt.orchestrator import RunConfig, run  # noqa: E402
 from tracing import Tracer  # noqa: E402
@@ -33,8 +37,10 @@ def test_install_then_remove_restores_every_patched_name():
 
 def test_traced_run_records_trajectory_layers(tmp_path):
     """Every trajectory method has spans, and SEC splits into one golden
-    simulation, candidate simulations and one check per evaluated candidate."""
-    design = parse(CHAIN_ADDER_8, "chain.rtl")
+    simulation, candidate simulations and one check per evaluated candidate.
+    The registered chain is never proved by normal form, so each check
+    simulates."""
+    design = parse(CHAIN_ADDER_8_REG, "chain.rtl")
     tracer = Tracer({id(design)})
     tracer.install()
     try:
@@ -55,3 +61,22 @@ def test_traced_run_records_trajectory_layers(tmp_path):
     assert layers["backend.sec"]["calls"] == evaluated
     assert layers["backend.sec.golden_sim"]["calls"] == 1
     assert layers["backend.sec.candidate_sim"]["calls"] >= 1
+
+
+def test_symbolic_passes_survive_the_benchmark_recheck(tmp_path):
+    """The benchmark's independent oracle (perfbench/check.py) refutes no
+    candidate that the normal form proved on a generated 32x16 chain, so an
+    unsound normal form fails here and not only in the benchmark."""
+    seed = 7
+    spec = workloads.adder_chain(random.Random(seed), 32, 16)
+    golden = parse(spec.source, "chain.rtl")
+    result = run(golden, RunConfig(iterations=3, seed=seed), str(tmp_path))
+    with open(os.path.join(result.run_dir, "state.json")) as fh:
+        state = json.load(fh)
+    proved = {c["design_ref"] for it in state["iterations"] for c in it["candidates"]
+              if c["eval"] and c["eval"]["sec_mode"] == SEC_SYMBOLIC}
+    assert proved
+    for ref in sorted(proved):
+        with open(os.path.join(result.run_dir, "designs", f"{ref}.rtl")) as fh:
+            candidate = parse(fh.read(), "chain.rtl")
+        assert check.refute(golden, candidate, seed) is None, ref

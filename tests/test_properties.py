@@ -1,10 +1,19 @@
 """Property-based checks over randomly generated expressions and groups."""
 
+from dataclasses import replace
+
 import hypothesis.strategies as st
 import numpy as np
 from hypothesis import assume, given, settings
 
-from rtlopt.dsl import CompiledDesign, parse, print_design, simulate, uint_dtype
+from rtlopt.backend import (
+    SEC_EXHAUSTIVE,
+    SEC_SYMBOLIC,
+    BackendConfig,
+    check_equivalence,
+    simulate_equivalence,
+)
+from rtlopt.dsl import CompiledDesign, parse, print_design, print_expr, simulate, uint_dtype
 from rtlopt.scoring import group_advantage
 
 _VARS = ("a", "b", "c")
@@ -79,6 +88,78 @@ def test_batch_engine_matches_interpreter(case, drawn):
     got = batch[0]["y"]
     assert got.dtype == uint_dtype(width)
     assert [int(x) for x in got] == [simulate(design, t, 1)[0]["y"] for t in traces]
+
+
+_MUTANTS = {"and": "or", "or": "xor", "xor": "and", "add": "sub", "sub": "add",
+            "eq": "lt", "lt": "eq", "shl": "shr", "shr": "shl"}
+
+
+def _variant(node, how, pick):
+    """``node`` with its operands commuted, its chain reassociated
+    (``(x o y) o z`` to ``x o (y o z)``) or one mutation; the node itself
+    when the change does not apply. Commuting or reassociating ``-`` and
+    commuting ``<`` change the value, like a mutation."""
+    args = node.args
+    if how == "commute" and len(args) == 2:
+        return replace(node, args=(args[1], args[0]))
+    if how == "reassociate" and len(args) == 2 and args[0].kind == node.kind:
+        x, y = args[0].args
+        return replace(node, args=(x, replace(args[0], args=(y, args[1]))))
+    if how == "mutate":
+        if node.kind in _MUTANTS:
+            return replace(node, kind=_MUTANTS[node.kind])
+        if node.kind == "const":
+            return replace(node, value=node.value ^ 1)
+        if node.kind == "var":
+            return replace(node, name=_VARS[(_VARS.index(node.name) + 1) % len(_VARS)])
+        if node.kind == "mux":
+            return replace(node, args=(args[0], args[2], args[1]))
+        if node.kind == "slice":
+            lsb = (node.lsb + pick) % args[0].width
+            return replace(node, msb=lsb, lsb=lsb)
+    return node
+
+
+def _rebuild(expr, target, new):
+    if expr is target:
+        return new
+    if not expr.args:
+        return expr
+    return replace(expr, args=tuple(_rebuild(a, target, new) for a in expr.args))
+
+
+_CHANGES = st.tuples(st.integers(0, 63),
+                     st.sampled_from(["commute", "reassociate", "mutate"]),
+                     st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exprs(2, 3).filter(lambda e: e.startswith("(")),
+       st.lists(_CHANGES, min_size=1, max_size=4))
+def test_symbolic_pass_is_an_exhaustive_pass(expr_text, changes):
+    """At width 2, 3 inputs x 2 frames is 12 bits, so simulation is
+    exhaustive: every symbolic pass must be an exhaustive pass, and every
+    other verdict must be the simulated one. The variant applies a few
+    changes at nodes where they apply, at most one of them a mutation."""
+    golden = _design(2, expr_text)
+    expr = golden.assigns[0].expr
+    mutated = False
+    for index, how, pick in changes:
+        if how == "mutate" and mutated:
+            continue
+        sites = [(n, v) for n in expr.walk() if (v := _variant(n, how, pick)) is not n]
+        if sites:
+            target, new = sites[index % len(sites)]
+            expr = _rebuild(expr, target, new)
+            mutated |= how == "mutate"
+    candidate = _design(2, print_expr(expr))
+    checked = check_equivalence(golden, candidate, BackendConfig())
+    simulated = simulate_equivalence(golden, candidate)
+    assert simulated.mode == SEC_EXHAUSTIVE
+    if checked.mode == SEC_SYMBOLIC:
+        assert simulated.passed, (expr_text, print_expr(expr))
+    else:
+        assert checked == simulated
 
 
 @settings(max_examples=200, deadline=None)

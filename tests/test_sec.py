@@ -1,6 +1,8 @@
 """SEC oracle: corpus classification, counterexample replay, properties."""
 
 import itertools
+import json
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from corpus import (
     CHAIN_ADDER_8,
     EQUIVALENT_PAIRS,
     NONEQUIVALENT_PAIRS,
+    SYMBOLIC_NEAR_MISS_PAIRS,
 )
 from rtlopt.backend import (
     SEC_BOUNDED,
@@ -17,11 +20,16 @@ from rtlopt.backend import (
     SEC_EXHAUSTIVE,
     SEC_SAMPLE_COUNT,
     SEC_SAMPLE_SEED,
+    SEC_SYMBOLIC,
     GoldenSec,
     PortInterfaceMismatch,
+    SecVerdict,
     check_equivalence,
+    simulate_equivalence,
 )
 from rtlopt.dsl import CompiledDesign, parse, simulate, uint_dtype
+from rtlopt.orchestrator import RunConfig, run
+from rtlopt.trajectory import RunState
 
 
 def _assert_replays(golden, candidate, cex):
@@ -35,10 +43,52 @@ def _assert_replays(golden, candidate, cex):
 
 @pytest.mark.parametrize("golden_src,candidate_src", EQUIVALENT_PAIRS)
 def test_equivalent_pairs_pass(golden_src, candidate_src, bcfg):
-    verdict = check_equivalence(parse(golden_src), parse(candidate_src), bcfg)
+    golden, candidate = parse(golden_src), parse(candidate_src)
+    verdict = simulate_equivalence(golden, candidate)
     assert verdict.mode == SEC_EXHAUSTIVE
     assert verdict.passed
     assert verdict.counterexample is None
+    # check_equivalence passes too: by proof only where both are register-free
+    checked = check_equivalence(golden, candidate, bcfg)
+    if checked.mode == SEC_SYMBOLIC:
+        assert not golden.registers and not candidate.registers
+        assert checked == SecVerdict(True, SEC_SYMBOLIC)
+    else:
+        assert checked == verdict
+
+
+def test_normal_form_proves_register_free_equivalent_pairs(bcfg):
+    """Every register-free pair but the mux chain (whose two sides select
+    through different compares) has equal normal forms."""
+    modes = [check_equivalence(parse(g), parse(c), bcfg).mode for g, c in EQUIVALENT_PAIRS]
+    assert modes == [SEC_SYMBOLIC] * 6 + [SEC_EXHAUSTIVE] * 2 + [SEC_SYMBOLIC] * 2
+
+
+@pytest.mark.parametrize("golden_src,candidate_src", SYMBOLIC_NEAR_MISS_PAIRS)
+def test_near_misses_are_not_proved_and_replay(golden_src, candidate_src, bcfg):
+    golden, candidate = parse(golden_src), parse(candidate_src)
+    assert not GoldenSec(golden).proves(candidate)
+    verdict = check_equivalence(golden, candidate, bcfg)
+    assert verdict == simulate_equivalence(golden, candidate)
+    assert verdict.mode != SEC_SYMBOLIC
+    assert not verdict.passed
+    _assert_replays(golden, candidate, verdict.counterexample)
+
+
+def test_register_free_run_proves_every_candidate(tmp_path, monkeypatch):
+    """On the combinational chain every evaluated candidate is proved, so
+    the run builds no stimulus and simulates nothing."""
+    def no_simulation(self, input_arrays, frames):
+        raise AssertionError("a proved run simulated")
+
+    monkeypatch.setattr(CompiledDesign, "run", no_simulation)
+    result = run(parse(CHAIN_ADDER_8, "chain.rtl"), RunConfig(iterations=3),
+                 str(tmp_path))
+    with open(os.path.join(result.run_dir, "state.json")) as fh:
+        state = RunState.from_dict(json.load(fh))
+    evals = [c.eval for it in state.iterations for c in it.candidates
+             if c.status != "skipped"]
+    assert evals and all(e.sec_pass and e.sec_mode == SEC_SYMBOLIC for e in evals)
 
 
 @pytest.mark.parametrize("golden_src,candidate_src", NONEQUIVALENT_PAIRS)
@@ -139,6 +189,9 @@ def test_context_reuses_stimulus_and_golden_traces(bcfg):
         with_sec = check_equivalence(golden, candidate, bcfg, sec)
         assert with_sec == check_equivalence(golden, candidate, bcfg)
         assert with_sec.passed is passed
+        simulated = simulate_equivalence(golden, candidate, sec)
+        assert simulated == simulate_equivalence(golden, candidate)
+        assert simulated.passed is passed
     assert sec.reference(2) is sec.reference(2)
 
 
@@ -182,9 +235,10 @@ def test_bounded_mode_engages_over_budget(bcfg):
     golden = parse(CHAIN_ADDER_8)                     # 32 input bits x 2 frames
     candidate = parse(CHAIN_ADDER_8.replace("((a + b) + c) + d",
                                             "(a + b) + (c + d)"))
-    verdict = check_equivalence(golden, candidate, bcfg)
+    verdict = simulate_equivalence(golden, candidate)
     assert verdict.mode == SEC_BOUNDED
     assert verdict.passed
+    assert check_equivalence(golden, candidate, bcfg) == SecVerdict(True, SEC_SYMBOLIC)
     broken = parse(CHAIN_ADDER_8.replace("((a + b) + c) + d",
                                          "((a + b) + c) - d"))
     verdict = check_equivalence(golden, broken, bcfg)
