@@ -15,12 +15,27 @@ Grammar (one module per file, `//` comments):
 Constants carry an explicit width (`8'd255`, `1'b0`, `4'hf`); there is no
 implicit width extension anywhere, so width mismatches are rejected during
 elaboration rather than silently padded.
+
+Operators, loosest first; binary operators are left-associative:
+
+    c ? a : b        mux, right-associative; a condition that is itself a
+                     mux must be parenthesized
+    |  ^  &  ==  <   binary
+    x << k, x >> k   shift by an integer; only a shift or a looser operator
+                     may follow, so `a << 1 + b` is an error
+    +  -             binary
+    ~x               not
+    x[m:l], x[m]     slice
+
+The front end is iterative, so nesting depth is bounded by memory, not by
+Python's recursion limit: the expression parser keeps operators on an
+explicit stack and emits postfix order, elaboration evaluates that postfix
+list on an operand stack, and the cycle check walks an explicit path.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .ast import (
     BINARY_OPS,
@@ -40,337 +55,326 @@ KEYWORDS = {
     "assign", "always_ff", "begin", "end",
 }
 
+# One token after any whitespace, matched within one line's code (the
+# text before its first `//`).
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+|//[^\n]*)
-  | (?P<sized>(\d+)'([bdh])([0-9a-fA-F_]+))
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<int>\d+)
-  | (?P<op><<|>>|==|<=|[()\[\];,:?=~&|^+\-<])
-    """,
+    r"""(\s*)(
+        \d+'[bdh][0-9a-fA-F_]+         # sized constant
+      | [A-Za-z_][A-Za-z0-9_]*          # identifier or keyword
+      | \d+                             # integer
+      | <<|>>|==|<=|[()\[\];,:?=~&|^+\-<]
+    )""",
     re.VERBOSE,
 )
+_BASES = {"b": 2, "d": 10, "h": 16}
+
+# Binary operator token -> (precedence, kind); a higher precedence binds
+# tighter. Shifts sit at _SHIFT, between `<` and `+`; 0 marks the bottom of
+# the operator stack and each open `(`, `?` or `:`; _ANY admits every operator.
+_BINARY = {"|": (1, "or"), "^": (2, "xor"), "&": (3, "and"), "==": (4, "eq"),
+           "<": (5, "lt"), "+": (7, "add"), "-": (7, "sub")}
+_SHIFT = 6
+_SHIFTS = {"<<": "shl", ">>": "shr"}
+_ANY = 7
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "ident" | "int" | "sized" | "op" | "eof"
-    text: str
-    line: int
-    col: int
+def _tokenize(source: str) -> list[tuple[str, int, int]]:
+    """Tokens as ``(text, line, col)``, ending in an empty end-of-input token.
 
-
-def _tokenize(source: str) -> list[Token]:
+    A token's kind follows from its text: an identifier or keyword passes
+    ``str.isidentifier``, an integer ``str.isdecimal``, a sized constant
+    holds a quote, and every other token is an operator."""
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise RtlSyntaxError(f"unexpected character {source[pos]!r}", line, col)
-        text = m.group(0)
-        if m.lastgroup != "ws":
-            tokens.append(Token(m.lastgroup, text, line, col))
-        nl = text.count("\n")
-        if nl:
-            line += nl
-            col = len(text) - text.rfind("\n")
-        else:
-            col += len(text)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+    append = tokens.append
+    for line, text in enumerate(source.split("\n"), 1):
+        code = text.partition("//")[0]
+        col = 1
+        for space, tok in _TOKEN_RE.findall(code):
+            col += len(space)
+            append((tok, line, col))
+            col += len(tok)
+        # findall skips a character that starts no token, which leaves the
+        # running column short of the last token's end.
+        if code[col - 1:].strip():
+            pos = 0
+            while m := _TOKEN_RE.match(code, pos):
+                pos = m.end()
+            rest = code[pos:].lstrip()
+            raise RtlSyntaxError(f"unexpected character {rest[0]!r}",
+                                 line, len(code) - len(rest) + 1)
+    append(("", line, len(text) + 1))
     return tokens
 
 
-@dataclass
-class _RawStmt:
-    kind: str          # "assign" | "regupdate"
-    target: str
-    expr: "._RawExpr"
-    line: int
-    col: int
-
-
-@dataclass
-class _RawExpr:
-    kind: str
-    args: tuple = ()
-    name: str | None = None
-    value: int | None = None
-    width: int | None = None   # sized constants only
-    amount: int | None = None
-    msb: int | None = None
-    lsb: int | None = None
-    loc: tuple[int, int] = (0, 0)
+def _expected(what: str, tok: tuple) -> RtlSyntaxError:
+    return RtlSyntaxError(f"expected {what}, found {tok[0] or 'end of input'!r}",
+                          tok[1], tok[2])
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.i = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.i]
+    def next(self) -> tuple:
+        self.i += 1
+        return self.tokens[self.i - 1]
 
-    def next(self) -> Token:
+    def expect(self, text: str) -> tuple:
         tok = self.tokens[self.i]
+        if tok[0] != text:
+            raise _expected(repr(text), tok)
         self.i += 1
         return tok
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise RtlSyntaxError(f"expected {want!r}, found {tok.text or 'end of input'!r}",
-                                 tok.line, tok.col)
-        return self.next()
+    def accept(self, text: str) -> bool:
+        if self.tokens[self.i][0] == text:
+            self.i += 1
+            return True
+        return False
 
-    def accept(self, kind: str, text: str | None = None) -> Token | None:
-        tok = self.peek()
-        if tok.kind == kind and (text is None or tok.text == text):
-            return self.next()
-        return None
+    def name(self) -> tuple:
+        tok = self.tokens[self.i]
+        if not tok[0].isidentifier():
+            raise _expected("'ident'", tok)
+        self.i += 1
+        return tok
+
+    def number(self) -> int:
+        tok = self.tokens[self.i]
+        if not tok[0].isdecimal():
+            raise _expected("'int'", tok)
+        self.i += 1
+        return int(tok[0])
 
     # --- declarations -----------------------------------------------------
 
     def parse_module(self):
-        self.expect("ident", "module")
-        name = self.expect("ident").text
+        self.expect("module")
+        name, line, col = self.name()
         if name in KEYWORDS:
-            tok = self.tokens[self.i - 1]
-            raise RtlSyntaxError(f"keyword {name!r} cannot name a module", tok.line, tok.col)
-        self.expect("op", "(")
+            raise RtlSyntaxError(f"keyword {name!r} cannot name a module", line, col)
+        self.expect("(")
         ports = [self.parse_port()]
-        while self.accept("op", ","):
+        while self.accept(","):
             ports.append(self.parse_port())
-        self.expect("op", ")")
-        self.expect("op", ";")
+        self.expect(")")
+        self.expect(";")
 
         wires, regs, stmts = [], [], []
-        while not self.accept("ident", "endmodule"):
-            tok = self.peek()
-            if tok.kind != "ident":
-                raise RtlSyntaxError(f"expected statement, found {tok.text!r}", tok.line, tok.col)
-            if tok.text == "wire":
-                wires.append(self.parse_decl("wire"))
-            elif tok.text == "reg":
-                regs.append(self.parse_decl("reg"))
-            elif tok.text == "assign":
+        while not self.accept("endmodule"):
+            text, line, col = self.tokens[self.i]
+            if text == "wire":
+                wires.append(self.parse_decl())
+            elif text == "reg":
+                regs.append(self.parse_decl())
+            elif text == "assign":
                 stmts.append(self.parse_assign())
-            elif tok.text == "always_ff":
+            elif text == "always_ff":
                 stmts.extend(self.parse_always())
+            elif text.isidentifier():
+                raise RtlSyntaxError(f"unexpected {text!r}", line, col)
             else:
-                raise RtlSyntaxError(f"unexpected {tok.text!r}", tok.line, tok.col)
-        self.expect("eof")
+                raise RtlSyntaxError(f"expected statement, found {text!r}", line, col)
+        if self.tokens[self.i][0]:
+            raise _expected("'eof'", self.tokens[self.i])
         return name, ports, wires, regs, stmts
 
     def parse_width(self) -> int:
         """Optional `[msb:0]` declaration; returns width in bits."""
-        if not self.accept("op", "["):
+        if not self.accept("["):
             return 1
-        msb_tok = self.expect("int")
-        self.expect("op", ":")
-        lsb_tok = self.expect("int")
-        self.expect("op", "]")
-        if int(lsb_tok.text) != 0:
-            raise RtlSyntaxError("declarations must use [msb:0] ranges",
-                                 lsb_tok.line, lsb_tok.col)
-        return int(msb_tok.text) + 1
+        msb = self.number()
+        self.expect(":")
+        _, line, col = self.tokens[self.i]
+        lsb = self.number()
+        self.expect("]")
+        if lsb != 0:
+            raise RtlSyntaxError("declarations must use [msb:0] ranges", line, col)
+        return msb + 1
 
     def parse_port(self):
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in ("input", "output"):
-            direction = self.next().text
-        else:
-            raise RtlSyntaxError(f"expected port direction, found {tok.text!r}",
-                                 tok.line, tok.col)
+        direction, line, col = self.tokens[self.i]
+        if direction not in ("input", "output"):
+            raise RtlSyntaxError(f"expected port direction, found {direction!r}", line, col)
+        self.i += 1
         width = self.parse_width()
-        name_tok = self.expect("ident")
-        return Port(name_tok.text, direction, width), (name_tok.line, name_tok.col)
+        name, line, col = self.name()
+        return Port(name, direction, width), (line, col)
 
-    def parse_decl(self, keyword: str):
-        self.expect("ident", keyword)
+    def parse_decl(self):
+        self.i += 1  # `wire` or `reg`
         width = self.parse_width()
-        name_tok = self.expect("ident")
-        self.expect("op", ";")
-        return name_tok.text, width, (name_tok.line, name_tok.col)
+        name, line, col = self.name()
+        self.expect(";")
+        return name, width, (line, col)
 
-    def parse_assign(self) -> _RawStmt:
-        kw = self.expect("ident", "assign")
-        target = self.expect("ident").text
-        self.expect("op", "=")
+    def parse_assign(self) -> tuple:
+        _, line, col = self.expect("assign")
+        target = self.name()[0]
+        self.expect("=")
         expr = self.parse_expr()
-        self.expect("op", ";")
-        return _RawStmt("assign", target, expr, kw.line, kw.col)
+        self.expect(";")
+        return "assign", target, expr, (line, col)
 
-    def parse_always(self) -> list[_RawStmt]:
-        self.expect("ident", "always_ff")
-        self.expect("ident", "begin")
+    def parse_always(self) -> list[tuple]:
+        self.expect("always_ff")
+        self.expect("begin")
         updates = []
-        while not self.accept("ident", "end"):
-            target_tok = self.expect("ident")
-            self.expect("op", "<=")
+        while not self.accept("end"):
+            target, line, col = self.name()
+            self.expect("<=")
             expr = self.parse_expr()
-            self.expect("op", ";")
-            updates.append(_RawStmt("regupdate", target_tok.text, expr,
-                                    target_tok.line, target_tok.col))
+            self.expect(";")
+            updates.append(("regupdate", target, expr, (line, col)))
         return updates
 
-    # --- expressions (precedence climbing) --------------------------------
+    # --- expressions (operator precedence, explicit stack) ----------------
 
-    def parse_expr(self) -> _RawExpr:
-        return self.parse_ternary()
-
-    def parse_ternary(self) -> _RawExpr:
-        cond = self.parse_binary(0)
-        q = self.accept("op", "?")
-        if q is None:
-            return cond
-        a = self.parse_ternary()
-        self.expect("op", ":")
-        b = self.parse_ternary()
-        return _RawExpr("mux", args=(cond, a, b), loc=(q.line, q.col))
-
-    _LEVELS = [
-        {"|": "or"},
-        {"^": "xor"},
-        {"&": "and"},
-        {"==": "eq"},
-        {"<": "lt"},
-    ]
-
-    def parse_binary(self, level: int) -> _RawExpr:
-        if level >= len(self._LEVELS):
-            return self.parse_shift()
-        ops = self._LEVELS[level]
-        left = self.parse_binary(level + 1)
+    def parse_expr(self) -> list[tuple]:
+        """One expression as a postfix list of ``(kind, loc, p, q)`` items:
+        width/value for a constant, the name for a variable, the amount for
+        a shift and msb/lsb for a slice. ``ops`` holds pending binary
+        operators above a marker for the expression and for each open `(`
+        (with the `~`s before it), `?` and `:`. ``ceiling`` is the tightest
+        operator that may follow the operand: after a shift, only a shift or
+        a looser operator."""
+        tokens = self.tokens
+        out: list[tuple] = []
+        ops: list[tuple] = [(0, "", None)]
+        closed = False  # a `)` just closed; its slices and `~`s come next
         while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in ops:
-                self.next()
-                right = self.parse_binary(level + 1)
-                left = _RawExpr(ops[tok.text], args=(left, right), loc=(tok.line, tok.col))
-            else:
-                return left
+            if not closed:
+                nots = []
+                while tokens[self.i][0] == "~":
+                    nots.append(self.next())
+                text, line, col = tok = self.next()
+                if text == "(":
+                    ops.append((0, "(", nots))
+                    continue
+                if text.isidentifier() and text not in KEYWORDS:
+                    out.append(("var", (line, col), text, None))
+                elif "'" in text:
+                    out.append(_constant(tok))
+                else:
+                    raise _expected("expression", tok)
+            closed = False
+            while tokens[self.i][0] == "[":  # slices bind tighter than `~`
+                _, line, col = self.next()
+                msb = lsb = self.number()
+                if self.accept(":"):
+                    lsb = self.number()
+                self.expect("]")
+                out.append(("slice", (line, col), msb, lsb))
+            for _, line, col in reversed(nots):
+                out.append(("not", (line, col), None, None))
+            ceiling = _ANY
+            while True:
+                text, line, col = tok = tokens[self.i]
+                op = _BINARY.get(text)
+                if op and op[0] <= ceiling:
+                    while ops[-1][0] >= op[0]:
+                        out.append(ops.pop()[1:] + (None, None))
+                    ops.append((*op, (line, col)))
+                    self.i += 1
+                    break
+                if text in _SHIFTS:
+                    while ops[-1][0] > _SHIFT:
+                        out.append(ops.pop()[1:] + (None, None))
+                    self.i += 1
+                    out.append((_SHIFTS[text], (line, col), self.number(), None))
+                    ceiling = _SHIFT
+                    continue
+                # The innermost `(`, `?` or `:`, or the whole expression, ends.
+                while ops[-1][0]:
+                    out.append(ops.pop()[1:] + (None, None))
+                if text == "?":
+                    ops.append((0, "?", (line, col)))
+                    self.i += 1
+                    break
+                while ops[-1][1] == ":":  # each `:` arm ends here too
+                    out.append(("mux", ops.pop()[2], None, None))
+                _, mark, extra = ops[-1]
+                if not mark:
+                    return out
+                if mark == "?":
+                    if text != ":":
+                        raise _expected("':'", tok)
+                    ops[-1] = (0, ":", extra)
+                    self.i += 1
+                    break
+                if text != ")":
+                    raise _expected("')'", tok)
+                ops.pop()
+                nots = extra
+                closed = True
+                self.i += 1
+                break
 
-    def parse_shift(self) -> _RawExpr:
-        left = self.parse_additive()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in ("<<", ">>"):
-                self.next()
-                amt_tok = self.expect("int")
-                kind = "shl" if tok.text == "<<" else "shr"
-                left = _RawExpr(kind, args=(left,), amount=int(amt_tok.text),
-                                loc=(tok.line, tok.col))
-            else:
-                return left
 
-    def parse_additive(self) -> _RawExpr:
-        left = self.parse_unary()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text in ("+", "-"):
-                self.next()
-                right = self.parse_unary()
-                kind = "add" if tok.text == "+" else "sub"
-                left = _RawExpr(kind, args=(left, right), loc=(tok.line, tok.col))
-            else:
-                return left
-
-    def parse_unary(self) -> _RawExpr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "~":
-            self.next()
-            arg = self.parse_unary()
-            return _RawExpr("not", args=(arg,), loc=(tok.line, tok.col))
-        return self.parse_postfix()
-
-    def parse_postfix(self) -> _RawExpr:
-        expr = self.parse_primary()
-        while True:
-            br = self.accept("op", "[")
-            if br is None:
-                return expr
-            msb = int(self.expect("int").text)
-            if self.accept("op", ":"):
-                lsb = int(self.expect("int").text)
-            else:
-                lsb = msb
-            self.expect("op", "]")
-            expr = _RawExpr("slice", args=(expr,), msb=msb, lsb=lsb, loc=(br.line, br.col))
-
-    def parse_primary(self) -> _RawExpr:
-        tok = self.peek()
-        if tok.kind == "sized":
-            self.next()
-            width_str, base, digits = re.match(r"(\d+)'([bdh])(.+)", tok.text).groups()
-            width = int(width_str)
-            value = int(digits.replace("_", ""), {"b": 2, "d": 10, "h": 16}[base])
-            if width < 1 or width > MAX_WIDTH:
-                raise RtlSyntaxError(f"constant width {width} outside [1, {MAX_WIDTH}]",
-                                     tok.line, tok.col)
-            if value >= (1 << width):
-                raise RtlSyntaxError(f"constant value {value} does not fit in {width} bits",
-                                     tok.line, tok.col)
-            return _RawExpr("const", value=value, width=width, loc=(tok.line, tok.col))
-        if tok.kind == "ident" and tok.text not in KEYWORDS:
-            self.next()
-            return _RawExpr("var", name=tok.text, loc=(tok.line, tok.col))
-        if tok.kind == "op" and tok.text == "(":
-            self.next()
-            inner = self.parse_expr()
-            self.expect("op", ")")
-            return inner
-        raise RtlSyntaxError(f"expected expression, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
+def _constant(tok: tuple) -> tuple:
+    text, line, col = tok
+    width_text, _, rest = text.partition("'")
+    width = int(width_text)
+    try:
+        value = int(rest[1:].replace("_", ""), _BASES[rest[0]])
+    except ValueError:
+        raise RtlSyntaxError(f"invalid digits in constant {text!r}", line, col) from None
+    if width < 1 or width > MAX_WIDTH:
+        raise RtlSyntaxError(f"constant width {width} outside [1, {MAX_WIDTH}]", line, col)
+    if value >= (1 << width):
+        raise RtlSyntaxError(f"constant value {value} does not fit in {width} bits", line, col)
+    return "const", (line, col), width, value
 
 
 # --- elaboration ----------------------------------------------------------
 
 
-def _elaborate_expr(raw: _RawExpr, widths: dict[str, int]) -> Expr:
-    line, col = raw.loc
-    if raw.kind == "const":
-        return Expr("const", raw.width, value=raw.value, loc=raw.loc)
-    if raw.kind == "var":
-        if raw.name not in widths:
-            raise RtlSemanticError(f"undeclared identifier {raw.name!r}", line, col)
-        return Expr("var", widths[raw.name], name=raw.name, loc=raw.loc)
-    if raw.kind == "not":
-        arg = _elaborate_expr(raw.args[0], widths)
-        return Expr("not", arg.width, args=(arg,), loc=raw.loc)
-    if raw.kind in ("shl", "shr"):
-        arg = _elaborate_expr(raw.args[0], widths)
-        if raw.amount < 0 or raw.amount >= arg.width:
-            raise RtlSemanticError(f"shift amount {raw.amount} outside operand width {arg.width}",
-                                   line, col)
-        return Expr(raw.kind, arg.width, args=(arg,), amount=raw.amount, loc=raw.loc)
-    if raw.kind == "slice":
-        arg = _elaborate_expr(raw.args[0], widths)
-        if not (0 <= raw.lsb <= raw.msb < arg.width):
-            raise RtlSemanticError(
-                f"slice [{raw.msb}:{raw.lsb}] outside operand width {arg.width}", line, col)
-        return Expr("slice", raw.msb - raw.lsb + 1, args=(arg,),
-                    msb=raw.msb, lsb=raw.lsb, loc=raw.loc)
-    if raw.kind == "mux":
-        cond, a, b = (_elaborate_expr(x, widths) for x in raw.args)
-        if cond.width != 1:
-            raise RtlSemanticError(f"mux condition must be 1 bit, got {cond.width}", line, col)
-        if a.width != b.width:
-            raise RtlSemanticError(
-                f"mux arms have mismatched widths {a.width} and {b.width}", line, col)
-        return Expr("mux", a.width, args=(cond, a, b), loc=raw.loc)
-    if raw.kind in BINARY_OPS:
-        a = _elaborate_expr(raw.args[0], widths)
-        b = _elaborate_expr(raw.args[1], widths)
-        if a.width != b.width:
-            raise RtlSemanticError(
-                f"operands of {raw.kind} have mismatched widths {a.width} and {b.width}",
-                line, col)
-        result_width = 1 if raw.kind in ("eq", "lt") else a.width
-        return Expr(raw.kind, result_width, args=(a, b), loc=raw.loc)
-    raise AssertionError(f"unhandled raw kind {raw.kind}")
+def _elaborate_expr(postfix: list[tuple], widths: dict[str, int]) -> Expr:
+    """Build the expression from its postfix list. Each node is checked
+    after its operands, left to right, which is the order a recursive walk
+    would raise its first error in."""
+    stack: list[Expr] = []
+    for kind, loc, p, q in postfix:
+        if kind == "var":
+            if p not in widths:
+                raise RtlSemanticError(f"undeclared identifier {p!r}", *loc)
+            stack.append(Expr("var", widths[p], name=p, loc=loc))
+        elif kind == "const":
+            stack.append(Expr("const", p, value=q, loc=loc))
+        elif kind in BINARY_OPS:
+            b = stack.pop()
+            a = stack.pop()
+            if a.width != b.width:
+                raise RtlSemanticError(
+                    f"operands of {kind} have mismatched widths {a.width} and {b.width}", *loc)
+            width = 1 if kind in ("eq", "lt") else a.width
+            stack.append(Expr(kind, width, args=(a, b), loc=loc))
+        elif kind == "mux":
+            b = stack.pop()
+            a = stack.pop()
+            cond = stack.pop()
+            if cond.width != 1:
+                raise RtlSemanticError(f"mux condition must be 1 bit, got {cond.width}", *loc)
+            if a.width != b.width:
+                raise RtlSemanticError(
+                    f"mux arms have mismatched widths {a.width} and {b.width}", *loc)
+            stack.append(Expr("mux", a.width, args=(cond, a, b), loc=loc))
+        else:
+            arg = stack.pop()
+            if kind == "not":
+                stack.append(Expr("not", arg.width, args=(arg,), loc=loc))
+            elif kind == "slice":
+                if not (0 <= q <= p < arg.width):
+                    raise RtlSemanticError(
+                        f"slice [{p}:{q}] outside operand width {arg.width}", *loc)
+                stack.append(Expr("slice", p - q + 1, args=(arg,), msb=p, lsb=q, loc=loc))
+            else:
+                if p < 0 or p >= arg.width:
+                    raise RtlSemanticError(
+                        f"shift amount {p} outside operand width {arg.width}", *loc)
+                stack.append(Expr(kind, arg.width, args=(arg,), amount=p, loc=loc))
+    return stack[0]
 
 
 def parse(source: str, filename: str = "<memory>") -> RtlDesign:
@@ -386,60 +390,46 @@ def parse(source: str, filename: str = "<memory>") -> RtlDesign:
     widths: dict[str, int] = {}
     locs: dict[str, tuple[int, int]] = {}
 
-    def declare(ident: str, width: int, loc):
-        line, col = loc
+    ports = [port for port, _ in port_decls]
+    decls = [(p.name, p.width, loc) for p, loc in port_decls] + wires + regs
+    for ident, width, loc in decls:
         if ident in widths:
-            raise RtlSemanticError(f"duplicate declaration of {ident!r}", line, col)
+            raise RtlSemanticError(f"duplicate declaration of {ident!r}", *loc)
         if width < 1 or width > MAX_WIDTH:
-            raise RtlSemanticError(f"width {width} of {ident!r} outside [1, {MAX_WIDTH}]",
-                                   line, col)
+            raise RtlSemanticError(f"width {width} of {ident!r} outside [1, {MAX_WIDTH}]", *loc)
         widths[ident] = width
         locs[ident] = loc
-
-    ports = []
-    for port, loc in port_decls:
-        declare(port.name, port.width, loc)
-        ports.append(port)
-    nets = []
-    for wname, wwidth, loc in wires:
-        declare(wname, wwidth, loc)
-        nets.append(Net(wname, wwidth))
-    reg_widths = {}
-    for rname, rwidth, loc in regs:
-        declare(rname, rwidth, loc)
-        reg_widths[rname] = rwidth
+    nets = [Net(wname, wwidth) for wname, wwidth, _ in wires]
+    reg_widths = {rname: rwidth for rname, rwidth, _ in regs}
 
     port_dirs = {p.name: p.direction for p in ports}
 
     assigns: list[Assign] = []
     reg_updates: dict[str, Register] = {}
     driven: set[str] = set()
-    for stmt in stmts:
-        target = stmt.target
+    for kind, target, postfix, loc in stmts:
         if target not in widths:
-            raise RtlSemanticError(f"undeclared target {target!r}", stmt.line, stmt.col)
-        expr = _elaborate_expr(stmt.expr, widths)
+            raise RtlSemanticError(f"undeclared target {target!r}", *loc)
+        expr = _elaborate_expr(postfix, widths)
         if expr.width != widths[target]:
             raise RtlSemanticError(
                 f"cannot drive {widths[target]}-bit {target!r} "
-                f"with {expr.width}-bit expression", stmt.line, stmt.col)
-        if stmt.kind == "assign":
+                f"with {expr.width}-bit expression", *loc)
+        if kind == "assign":
             if target in reg_widths:
-                raise RtlSemanticError(f"register {target!r} driven by assign", stmt.line, stmt.col)
+                raise RtlSemanticError(f"register {target!r} driven by assign", *loc)
             if port_dirs.get(target) == "input":
-                raise RtlSemanticError(f"input port {target!r} cannot be driven", stmt.line, stmt.col)
+                raise RtlSemanticError(f"input port {target!r} cannot be driven", *loc)
             if target in driven:
-                raise RtlSemanticError(f"multiple drivers for {target!r}", stmt.line, stmt.col)
+                raise RtlSemanticError(f"multiple drivers for {target!r}", *loc)
             driven.add(target)
-            assigns.append(Assign(target, expr, (stmt.line, stmt.col)))
+            assigns.append(Assign(target, expr, loc))
         else:
             if target not in reg_widths:
-                raise RtlSemanticError(f"{target!r} is not a reg", stmt.line, stmt.col)
+                raise RtlSemanticError(f"{target!r} is not a reg", *loc)
             if target in reg_updates:
-                raise RtlSemanticError(f"multiple drivers for register {target!r}",
-                                       stmt.line, stmt.col)
-            reg_updates[target] = Register(target, reg_widths[target], expr,
-                                           (stmt.line, stmt.col))
+                raise RtlSemanticError(f"multiple drivers for register {target!r}", *loc)
+            reg_updates[target] = Register(target, reg_widths[target], expr, loc)
 
     for wname, _, loc in wires:
         if wname not in driven:
@@ -462,28 +452,38 @@ def topo_order(design: RtlDesign) -> list[Assign]:
     """Assigns ordered so every net is computed before it is read.
 
     Register outputs and input ports are sources and never create edges.
+    A depth-first walk with an explicit path: each assign follows the nets
+    it reads, in the order its expression reads them.
     """
     by_target = {a.target: a for a in design.assigns}
     reg_names = design.register_names()
     order: list[Assign] = []
-    state: dict[str, int] = {}  # 0 visiting, 1 done
+    ordered: dict[str, bool] = {}  # False while a net is on the walk's path
 
-    def visit(target: str, chain: list[str]):
-        if state.get(target) == 1:
-            return
-        if state.get(target) == 0:
-            cycle = chain[chain.index(target):] + [target]
-            raise RtlSemanticError(
-                "combinational cycle through " + " -> ".join(cycle),
-                *by_target[target].loc)
-        state[target] = 0
-        assign = by_target[target]
-        for node in assign.expr.walk():
+    def reads(target: str):
+        for node in by_target[target].expr.walk():
             if node.kind == "var" and node.name in by_target and node.name not in reg_names:
-                visit(node.name, chain + [target])
-        state[target] = 1
-        order.append(assign)
+                yield node.name
 
-    for a in design.assigns:
-        visit(a.target, [])
+    for root in design.assigns:
+        if root.target in ordered:
+            continue
+        ordered[root.target] = False
+        path = [(root.target, reads(root.target))]
+        while path:
+            target, pending = path[-1]
+            for read in pending:
+                if ordered.get(read) is False:
+                    names = [name for name, _ in path]
+                    cycle = names[names.index(read):] + [read]
+                    raise RtlSemanticError("combinational cycle through " + " -> ".join(cycle),
+                                           *by_target[read].loc)
+                if read not in ordered:
+                    ordered[read] = False
+                    path.append((read, reads(read)))
+                    break
+            else:
+                path.pop()
+                ordered[target] = True
+                order.append(by_target[target])
     return order

@@ -119,6 +119,15 @@ def test_eval_outputs_metrics_json(design_file, capsys):
     assert "sec_pass" not in payload
 
 
+def test_eval_deeply_nested_design(tmp_path, capsys):
+    deep = tmp_path / "deep.rtl"
+    deep.write_text("module deep(input [7:0] a, input [7:0] b, output [7:0] y);\n"
+                    f"  assign y = {'(' * 120}a{' + b)' * 120};\nendmodule\n")
+    assert main(["eval", "--design", str(deep)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["wns"] < 0 and payload["area"] > 0
+
+
 def test_eval_with_golden_reports_sec(design_file, tmp_path, capsys):
     variant = tmp_path / "v.rtl"
     variant.write_text(CHAIN_ADDER_8.replace("((a + b) + c) + d",

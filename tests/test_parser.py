@@ -1,5 +1,9 @@
 """Parser, elaboration, and printer round-trip tests."""
 
+import sys
+import time
+from contextlib import contextmanager
+
 import pytest
 
 from rtlopt.dsl import (
@@ -184,3 +188,187 @@ def test_print_expr_fully_parenthesized():
     d = parse("module e(input a, input b, input c, output y); "
               "assign y = a | b & c; endmodule")
     assert print_expr(d.assigns[0].expr) == "(a | (b & c))"
+
+
+_HEAD = "module m(input a, input [3:0] b, output [3:0] y);\n"
+_END = "endmodule\n"
+
+
+def _body(*lines):
+    return _HEAD + "".join(f"  {line}\n" for line in lines) + _END
+
+
+# One input per raise site of the front end, with the exact message and
+# location: an LLM reply that fails to parse carries this text into its
+# transcript, so it must not drift.
+_ERRORS = [
+    ("end of input", _HEAD + "  assign y = b", RtlSyntaxError,
+     "expected ';', found 'end of input'", 2, 15),
+    ("end of input in body", _HEAD + "  assign y = b;\n", RtlSyntaxError,
+     "expected statement, found ''", 3, 1),
+    ("unexpected character", _body("assign y = b @ b;"), RtlSyntaxError,
+     "unexpected character '@'", 2, 16),
+    ("unclosed paren", _body("assign y = (b + b;"), RtlSyntaxError,
+     "expected ')', found ';'", 2, 20),
+    ("mux without colon", _body("assign y = a ? b ;"), RtlSyntaxError,
+     "expected ':', found ';'", 2, 20),
+    ("mux without else", _body("assign y = a ? b : ;"), RtlSyntaxError,
+     "expected expression, found ';'", 2, 22),
+    ("operator after shift", _body("assign y = b << 1 + b;"), RtlSyntaxError,
+     "expected ';', found '+'", 2, 21),
+    ("shift by non-int", _body("assign y = b << b;"), RtlSyntaxError,
+     "expected 'int', found 'b'", 2, 19),
+    ("unclosed slice", _body("assign y = b[3:0;"), RtlSyntaxError,
+     "expected ']', found ';'", 2, 19),
+    ("slice without msb", _body("assign y = b[a];"), RtlSyntaxError,
+     "expected 'int', found 'a'", 2, 16),
+    ("keyword as expression", _body("assign y = wire;"), RtlSyntaxError,
+     "expected expression, found 'wire'", 2, 14),
+    ("keyword module name", "module wire(input a, output y);\n  assign y = a;\nendmodule\n",
+     RtlSyntaxError, "keyword 'wire' cannot name a module", 1, 8),
+    ("missing module", "assign y = a;\n", RtlSyntaxError,
+     "expected 'module', found 'assign'", 1, 1),
+    ("nonzero lsb", "module m(input [3:1] a, output y);\n  assign y = a[1:1];\nendmodule\n",
+     RtlSyntaxError, "declarations must use [msb:0] ranges", 1, 19),
+    ("port direction", "module m(a, output y);\n  assign y = a;\nendmodule\n",
+     RtlSyntaxError, "expected port direction, found 'a'", 1, 10),
+    ("statement expected", _body(";"), RtlSyntaxError,
+     "expected statement, found ';'", 2, 3),
+    ("unexpected ident", _body("input c;"), RtlSyntaxError, "unexpected 'input'", 2, 3),
+    ("oversized constant", _body("assign y = 4'd16;"), RtlSyntaxError,
+     "constant value 16 does not fit in 4 bits", 2, 14),
+    ("digit outside its base", _body("assign y = 4'b12;"), RtlSyntaxError,
+     "invalid digits in constant \"4'b12\"", 2, 14),
+    ("constant without digits", _body("assign y = 4'd_;"), RtlSyntaxError,
+     "invalid digits in constant \"4'd_\"", 2, 14),
+    ("zero width constant", _body("assign y = 0'd0;"), RtlSyntaxError,
+     "constant width 0 outside [1, 64]", 2, 14),
+    ("wide constant", _body("assign y = 65'd0;"), RtlSyntaxError,
+     "constant width 65 outside [1, 64]", 2, 14),
+    ("trailing tokens", _body("assign y = b;") + "endmodule\n", RtlSyntaxError,
+     "expected 'eof', found 'endmodule'", 4, 1),
+    ("undeclared identifier", _body("assign y = b + nope;"), RtlSemanticError,
+     "undeclared identifier 'nope'", 2, 18),
+    ("shift amount", _body("assign y = b >> 4;"), RtlSemanticError,
+     "shift amount 4 outside operand width 4", 2, 16),
+    ("slice range", _body("assign y = b[4:1];"), RtlSemanticError,
+     "slice [4:1] outside operand width 4", 2, 15),
+    ("mux condition width", _body("assign y = b ? b : b;"), RtlSemanticError,
+     "mux condition must be 1 bit, got 4", 2, 16),
+    ("mux arm widths", _body("assign y = a ? b : a;"), RtlSemanticError,
+     "mux arms have mismatched widths 4 and 1", 2, 16),
+    ("operand widths", _body("assign y = b & a;"), RtlSemanticError,
+     "operands of and have mismatched widths 4 and 1", 2, 16),
+    ("inner error first", _body("assign y = b ? nope : a;"), RtlSemanticError,
+     "undeclared identifier 'nope'", 2, 18),
+    ("left operand first", _body("assign y = (b & a) + nope;"), RtlSemanticError,
+     "operands of and have mismatched widths 4 and 1", 2, 17),
+    ("duplicate declaration", _body("wire b;", "assign y = b;"), RtlSemanticError,
+     "duplicate declaration of 'b'", 2, 8),
+    ("declared width", "module m(input [64:0] a, output y);\n  assign y = a[0:0];\nendmodule\n",
+     RtlSemanticError, "width 65 of 'a' outside [1, 64]", 1, 23),
+    ("undeclared target", _body("assign z = b;"), RtlSemanticError,
+     "undeclared target 'z'", 2, 3),
+    ("drive width", _body("assign y = a;"), RtlSemanticError,
+     "cannot drive 4-bit 'y' with 1-bit expression", 2, 3),
+    ("register assigned", _body("reg [3:0] q;", "assign q = b;", "assign y = q;"),
+     RtlSemanticError, "register 'q' driven by assign", 3, 3),
+    ("input driven", _body("assign b = y;", "assign y = b;"), RtlSemanticError,
+     "input port 'b' cannot be driven", 2, 3),
+    ("multiple drivers", _body("assign y = b;", "assign y = ~b;"), RtlSemanticError,
+     "multiple drivers for 'y'", 3, 3),
+    ("update of a wire", _body("wire [3:0] t;", "assign t = b;", "assign y = t;",
+                               "always_ff begin", "  t <= b;", "end"),
+     RtlSemanticError, "'t' is not a reg", 6, 5),
+    ("multiple register drivers", _body("reg [3:0] q;", "assign y = q;", "always_ff begin",
+                                        "  q <= b;", "  q <= ~b;", "end"),
+     RtlSemanticError, "multiple drivers for register 'q'", 6, 5),
+    ("undriven net", _body("wire t;", "assign y = b;"), RtlSemanticError,
+     "net 't' has no driver", 2, 8),
+    ("undriven output", _HEAD + _END, RtlSemanticError, "output 'y' has no driver", 1, 47),
+    ("undriven register", _body("reg [3:0] q;", "assign y = q;"), RtlSemanticError,
+     "register 'q' has no driver", 2, 13),
+    ("combinational cycle", _body("wire [3:0] t;", "wire [3:0] u;", "assign y = t;",
+                                  "assign t = u & b;", "assign u = t | b;"),
+     RtlSemanticError, "combinational cycle through t -> u -> t", 5, 3),
+    ("cycle reached through a chain",
+     _body("wire [3:0] t;", "wire [3:0] u;", "wire [3:0] v;", "assign y = t;",
+           "assign t = u & b;", "assign u = v | b;", "assign v = u ^ b;"),
+     RtlSemanticError, "combinational cycle through u -> v -> u", 7, 3),
+]
+
+
+@pytest.mark.parametrize("source,err,message,line,col",
+                         [case[1:] for case in _ERRORS], ids=[case[0] for case in _ERRORS])
+def test_error_message_and_location(source, err, message, line, col):
+    with pytest.raises(err) as e:
+        parse(source)
+    assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+@contextmanager
+def _recursion_headroom(frames=60):
+    """Lower the recursion limit to the current depth plus ``frames``, so
+    code that recurses once per nesting level fails at any real depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _one_assign(expr):
+    return f"module deep(input [7:0] a, output [7:0] y);\n  assign y = {expr};\nendmodule\n"
+
+
+def _reverse_chain(n):
+    """``n`` wires, each reading the one before, with the assigns listed
+    last wire first, so the cycle check walks the whole chain at once."""
+    lines = [f"  wire [7:0] w{k};" for k in range(n)] + [f"  assign y = w{n - 1};"]
+    lines += [f"  assign w{k} = w{k - 1} + a;" for k in range(n - 1, 0, -1)]
+    lines.append("  assign w0 = a;")
+    return "module chain(input [7:0] a, output [7:0] y);\n" + "\n".join(lines) + "\nendmodule\n"
+
+
+def _expr_nodes(design):
+    return sum(1 for _ in design.assigns[0].expr.walk())
+
+
+# (source of size n, size, check of the parsed design at that size)
+_DEEP_AND_WIDE = {
+    "parenthesized chain": (lambda n: _one_assign("(" * n + "a" + " + a)" * n), 1000,
+                            lambda d, n: _expr_nodes(d) == 2 * n + 1),
+    "flat adder": (lambda n: _one_assign(" + ".join(["a"] * n)), 3000,
+                   lambda d, n: _expr_nodes(d) == 2 * n - 1),
+    "nested nots": (lambda n: _one_assign("~" * n + "a"), 1000,
+                    lambda d, n: _expr_nodes(d) == n + 1),
+    "reverse-ordered chain": (_reverse_chain, 2000,
+                              lambda d, n: [a.target for a in topo_order(d)]
+                              == [f"w{k}" for k in range(n)] + ["y"]),
+}
+
+
+def _best_seconds(fn, repeat=3):
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("shape", list(_DEEP_AND_WIDE))
+def test_deep_and_wide_inputs_parse_in_linear_time(shape):
+    build, n, check = _DEEP_AND_WIDE[shape]
+    small, large = build(n // 4), build(n)
+    with _recursion_headroom():
+        assert check(parse(large), n)
+        quarter = _best_seconds(lambda: parse(small))
+        full = _best_seconds(lambda: parse(large))
+    # Four times the input takes about four times as long when parsing is
+    # linear, and sixteen times when it is quadratic.
+    assert full < 10 * quarter, (full, quarter)

@@ -1,5 +1,6 @@
 """Property-based checks over randomly generated expressions and groups."""
 
+import re
 from dataclasses import replace
 
 import hypothesis.strategies as st
@@ -13,7 +14,15 @@ from rtlopt.backend import (
     check_equivalence,
     simulate_equivalence,
 )
-from rtlopt.dsl import CompiledDesign, parse, print_design, print_expr, simulate, uint_dtype
+from rtlopt.dsl import (
+    OP_SYMBOL,
+    CompiledDesign,
+    parse,
+    print_design,
+    print_expr,
+    simulate,
+    uint_dtype,
+)
 from rtlopt.scoring import group_advantage
 
 _VARS = ("a", "b", "c")
@@ -71,6 +80,85 @@ def test_print_parse_roundtrip_preserves_semantics(case):
     assert print_design(reparsed) == print_design(design)
     for trace in _corner_traces(case[0]):
         assert simulate(design, trace, 1) == simulate(reparsed, trace, 1)
+
+
+# The defining token of each node kind other than var and const.
+_SYMBOLS = {**OP_SYMBOL, "mux": "?", "slice": "[", "not": "~"}
+_TOKEN_AT = re.compile(r"\d+'[bdh][0-9a-fA-F_]+|[A-Za-z_]\w*|<<|>>|==|<=|.")
+
+
+def _assert_locs_at_defining_tokens(design, text):
+    """Every statement's loc is at `assign` or at the register it updates,
+    and every node's loc is at its name, constant or operator symbol."""
+    lines = text.split("\n")
+
+    def token_at(loc):
+        line, col = loc
+        return _TOKEN_AT.match(lines[line - 1], col - 1).group()
+
+    assert all(token_at(a.loc) == "assign" for a in design.assigns)
+    assert all(token_at(r.loc) == r.name for r in design.registers)
+    for _, expr in design.all_exprs():
+        for node in expr.walk():
+            token = token_at(node.loc)
+            if node.kind == "var":
+                assert token == node.name, (node, token)
+            elif node.kind == "const":
+                width, _, digits = token.partition("'")
+                value = int(digits[1:].replace("_", ""), {"b": 2, "d": 10, "h": 16}[digits[0]])
+                assert (int(width), value) == (node.width, node.value), (node, token)
+            else:
+                assert token == _SYMBOLS[node.kind], (node, token)
+
+
+_SPACES = st.lists(st.sampled_from([" ", "\t", "\n", "  // note\n", "\r\n ", "\n\n"]),
+                   min_size=1, max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_designs, _SPACES)
+def test_locations_point_at_defining_tokens(case, spaces):
+    """The generated text with its spaces replaced by tabs, newlines, CRLF
+    and comments parses with every loc on its token, and so does its
+    canonical print. ``Expr`` equality ignores locs, so only this checks
+    the tokenizer's lines and columns."""
+    width, expr_text = case
+    pieces = expr_text.split(" ")
+    spaced = pieces[0] + "".join(spaces[k % len(spaces)] + piece
+                                 for k, piece in enumerate(pieces[1:]))
+    design = _design(width, spaced)
+    _assert_locs_at_defining_tokens(design, design.source)
+    printed = print_design(design)
+    reparsed = parse(printed)
+    assert reparsed == replace(design, source=printed)
+    _assert_locs_at_defining_tokens(reparsed, printed)
+
+
+_HAND_WRITTEN = (
+    "// leading comment\r\n"
+    "module hand(input [7:0] a,\tinput s, output [3:0] y);\r\n"
+    "\r\n"
+    "\twire [7:0] t;  // trailing comment\r\n"
+    "  reg [7:0] q;\r\n"
+    "\tassign t = (a + q) ^\t~a;\r\n"
+    "\r\n"
+    "  assign y = s ? t[7:4] : (t >> 2)[3:0];\r\n"
+    "  always_ff begin\r\n"
+    "\t\tq <= t - 8'hf_f;\r\n"
+    "  end\r\n"
+    "endmodule\r\n"
+)
+
+
+def test_locations_with_comments_tabs_and_crlf():
+    design = parse(_HAND_WRITTEN)
+    _assert_locs_at_defining_tokens(design, _HAND_WRITTEN)
+    t, y = design.assigns
+    assert (t.loc, t.expr.loc, t.expr.args[1].loc) == ((6, 2), (6, 21), (6, 23))
+    assert (y.loc, y.expr.loc, y.expr.args[2].loc) == ((8, 3), (8, 16), (8, 35))
+    (q,) = design.registers
+    assert (q.loc, q.next.loc, q.next.args[1].loc) == ((10, 3), (10, 10), (10, 12))
+    assert q.next.args[1].value == 255
 
 
 @settings(max_examples=200, deadline=None)
