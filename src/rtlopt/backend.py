@@ -162,24 +162,26 @@ def _arrival(expr: Expr, net_arrivals: dict[str, float],
              net_paths: dict[str, list[Stage]], filename: str,
              reg_names: frozenset[str]) -> tuple[float, list[Stage]]:
     """Longest arrival through an expression and its stage list."""
-    if expr.kind == "const":
-        return 0.0, []
-    if expr.kind == "var":
-        if expr.name in net_arrivals and expr.name not in reg_names:
-            return net_arrivals[expr.name], list(net_paths[expr.name])
-        # input port or register output: path starts here
-        return 0.0, [Stage(node=expr.name, op="startpoint", delay_ns=0.0,
-                           file=filename, line=expr.loc[0], col=expr.loc[1])]
-    best = (0.0, [])
-    for arg in expr.args:
-        cand = _arrival(arg, net_arrivals, net_paths, filename, reg_names)
-        if cand[0] > best[0] or (cand[0] == best[0] and not best[1]):
-            best = cand
-    delay = node_delay_ns(expr.kind, _operand_width(expr))
-    line, col = expr.loc
-    stage = Stage(node=f"{expr.kind}_{line}_{col}", op=expr.kind, delay_ns=delay,
-                  file=filename, line=line, col=col, width=_operand_width(expr))
-    return best[0] + delay, best[1] + [stage]
+    def visit(node: Expr, args: list[tuple[float, list[Stage]]]):
+        if node.kind == "const":
+            return 0.0, []
+        if node.kind == "var":
+            if node.name in net_arrivals and node.name not in reg_names:
+                return net_arrivals[node.name], list(net_paths[node.name])
+            # input port or register output: path starts here
+            return 0.0, [Stage(node=node.name, op="startpoint", delay_ns=0.0,
+                               file=filename, line=node.loc[0], col=node.loc[1])]
+        best = (0.0, [])
+        for cand in args:
+            if cand[0] > best[0] or (cand[0] == best[0] and not best[1]):
+                best = cand
+        delay = node_delay_ns(node.kind, _operand_width(node))
+        line, col = node.loc
+        stage = Stage(node=f"{node.kind}_{line}_{col}", op=node.kind, delay_ns=delay,
+                      file=filename, line=line, col=col, width=_operand_width(node))
+        return best[0] + delay, best[1] + [stage]
+
+    return expr.fold(visit)
 
 
 def synthesize(design: RtlDesign, config: BackendConfig) -> tuple[PpaMetrics, TimingReport]:

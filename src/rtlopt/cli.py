@@ -4,7 +4,8 @@ Configuration is a single JSON object with sections backend / proposer /
 scoring / run, each a JSON object; every default matches the built-in
 evaluation setup so an empty config file is a valid run.
 
-Exit codes: 0 success, 1 configuration error, 2 baseline evaluation failure.
+Exit codes: 0 success, 1 configuration error, 2 baseline evaluation failure,
+3 internal error (an exception no command maps, reported on one stderr line).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .trajectory import CANDIDATE_OK, RunState, canonical_json, running_best
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_BASELINE = 2
+EXIT_INTERNAL = 3
 
 CONFIG_SECTIONS = {"backend", "proposer", "scoring", "run"}
 
@@ -294,7 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except Exception as exc:
+        print(f"error: internal: {type(exc).__name__}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ without copying.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 MAX_WIDTH = 64
@@ -72,7 +73,7 @@ class Expr:
     loc: tuple[int, int] = field(default=(0, 0), compare=False)
 
     def node_count(self) -> int:
-        return 1 + sum(a.node_count() for a in self.args)
+        return sum(1 for _ in self.walk())
 
     def walk(self):
         """Every node, parents before children and arguments in order.
@@ -84,6 +85,27 @@ class Expr:
             node = stack.pop()
             yield node
             stack.extend(reversed(node.args))
+
+    def fold(self, visit):
+        """``visit(node, values)`` once per node occurrence, children first and
+        arguments left to right, ``values`` being a fresh list of the results
+        for ``node.args``; returns the root's. Iterative and unmemoized, so the
+        visiting order is a recursive fold's."""
+        order, stack = [], [self]
+        while stack:  # parents first, last argument first: post-order reversed
+            node = stack.pop()
+            order.append(node)
+            stack.extend(node.args)
+        values: list = []
+        for node in reversed(order):
+            if node.args:
+                start = len(values) - len(node.args)
+                results = values[start:]
+                del values[start:]
+                values.append(visit(node, results))
+            else:
+                values.append(visit(node, []))
+        return values[0]
 
 
 @dataclass(frozen=True)
@@ -171,9 +193,5 @@ class RtlDesign:
 
 def reference_counts(design: RtlDesign) -> dict[str, int]:
     """Structural fanout: number of var references to each identifier."""
-    counts: dict[str, int] = {}
-    for _, expr in design.all_exprs():
-        for node in expr.walk():
-            if node.kind == "var":
-                counts[node.name] = counts.get(node.name, 0) + 1
-    return counts
+    return Counter(node.name for _, expr in design.all_exprs() for node in expr.walk()
+                   if node.kind == "var")

@@ -12,7 +12,7 @@ output forms prove two designs equivalent; unequal forms prove nothing.
   operands dropped and absorbing constants collapsed; ``and``/``or`` drop
   duplicate operands. Operands are sorted by id.
 * ``eq`` operands are sorted; ``sub`` and ``lt`` keep their order.
-* Nodes with constant operands only fold through :func:`eval_expr`, and a
+* Nodes with constant operands only fold through :func:`eval_node`, and a
   mux with a constant select is its chosen branch.
 
 Normal forms in the style of Filliâtre & Conchon, "Type-safe modular
@@ -25,7 +25,7 @@ import operator
 
 from .ast import Expr, RtlDesign
 from .parser import topo_order
-from .simulate import eval_expr
+from .simulate import eval_node
 
 # Chain kinds and how each combines two constants (reduced modulo 2**width).
 _CHAINS = {"and": operator.and_, "or": operator.or_, "xor": operator.xor,
@@ -55,30 +55,18 @@ class NormalForms:
         are not modelled: call this on register-free designs only."""
         assert not design.registers, "normal forms cover register-free designs"
         nets: dict[str, int] = {}
-        for assign in topo_order(design):
-            nets[assign.target] = self._form(assign.expr, nets)
-        return tuple(nets[p.name] for p in design.output_ports)
 
-    def _form(self, expr: Expr, nets: dict[str, int]) -> int:
-        """Post-order over ``expr``; nodes are keyed by object id, which is
-        stable while ``expr`` is alive, so no subtree is hashed."""
-        done: dict[int, int] = {}
-        stack = [(expr, False)]
-        while stack:
-            node, ready = stack.pop()
-            if ready:
-                done[id(node)] = self._node(node, [done[id(a)] for a in node.args])
-            elif id(node) not in done:
-                if node.kind == "var" and node.name in nets:
-                    done[id(node)] = nets[node.name]
-                elif node.kind == "var":
-                    done[id(node)] = self._intern(("var", node.width, node.name))
-                elif node.kind == "const":
-                    done[id(node)] = self._const(node.width, node.value)
-                else:
-                    stack.append((node, True))
-                    stack.extend((a, False) for a in node.args)
-        return done[id(expr)]
+        def visit(node: Expr, args: list[int]) -> int:
+            if node.kind == "var":
+                form = nets.get(node.name)
+                return self._intern(("var", node.width, node.name)) if form is None else form
+            if node.kind == "const":
+                return self._const(node.width, node.value)
+            return self._node(node, args)
+
+        for assign in topo_order(design):
+            nets[assign.target] = assign.expr.fold(visit)
+        return tuple(nets[p.name] for p in design.output_ports)
 
     def _node(self, node: Expr, args: list[int]) -> int:
         kind, width = node.kind, node.width
@@ -88,9 +76,7 @@ class NormalForms:
         if kind == "mux" and keys[0][0] == "const":
             return args[1] if keys[0][2] else args[2]
         if all(k[0] == "const" for k in keys):
-            folded = Expr(kind, width, tuple(Expr("const", k[1], value=k[2]) for k in keys),
-                          amount=node.amount, msb=node.msb, lsb=node.lsb)
-            return self._const(width, eval_expr(folded, {}))
+            return self._const(width, eval_node(node, [k[2] for k in keys]))
         if kind == "eq":
             args.sort()
         return self._intern((kind, width, node.amount, node.msb, node.lsb, *args))

@@ -10,29 +10,28 @@ from __future__ import annotations
 from .ast import OP_SYMBOL, BINARY_OPS, Expr, RtlDesign
 
 
-def print_expr(expr: Expr) -> str:
+def _print_node(expr: Expr, texts: list[str]) -> str:
     k = expr.kind
-    if k == "const":
-        return f"{expr.width}'d{expr.value}"
+    if k in BINARY_OPS:
+        return f"({texts[0]} {OP_SYMBOL[k]} {texts[1]})"
     if k == "var":
         return expr.name
+    if k == "const":
+        return f"{expr.width}'d{expr.value}"
     if k == "not":
-        return f"~{print_expr(expr.args[0])}"
+        return f"~{texts[0]}"
     if k in ("shl", "shr"):
-        return f"({print_expr(expr.args[0])} {OP_SYMBOL[k]} {expr.amount})"
+        return f"({texts[0]} {OP_SYMBOL[k]} {expr.amount})"
     if k == "slice":
-        arg = expr.args[0]
-        inner = print_expr(arg)
-        if arg.kind not in ("var", "slice"):
-            inner = f"({inner})"
+        inner = texts[0] if expr.args[0].kind in ("var", "slice") else f"({texts[0]})"
         return f"{inner}[{expr.msb}:{expr.lsb}]"
     if k == "mux":
-        c, a, b = expr.args
-        return f"({print_expr(c)} ? {print_expr(a)} : {print_expr(b)})"
-    if k in BINARY_OPS:
-        a, b = expr.args
-        return f"({print_expr(a)} {OP_SYMBOL[k]} {print_expr(b)})"
+        return f"({texts[0]} ? {texts[1]} : {texts[2]})"
     raise AssertionError(f"unhandled kind {k}")
+
+
+def print_expr(expr: Expr) -> str:
+    return expr.fold(_print_node)
 
 
 def _decl_width(width: int) -> str:

@@ -17,7 +17,6 @@ Registers start at all-zeros.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -30,38 +29,32 @@ def _mask(width: int) -> int:
     return (1 << width) - 1
 
 
+# The value of each kind of node, given the node and its arguments' values.
+_OPERATORS = {
+    "const": lambda e, v: e.value,
+    "not": lambda e, v: ~v[0] & _mask(e.width),
+    "and": lambda e, v: v[0] & v[1],
+    "or": lambda e, v: v[0] | v[1],
+    "xor": lambda e, v: v[0] ^ v[1],
+    "add": lambda e, v: (v[0] + v[1]) & _mask(e.width),
+    "sub": lambda e, v: (v[0] - v[1]) & _mask(e.width),
+    "eq": lambda e, v: int(v[0] == v[1]),
+    "lt": lambda e, v: int(v[0] < v[1]),
+    "shl": lambda e, v: (v[0] << e.amount) & _mask(e.width),
+    "shr": lambda e, v: v[0] >> e.amount,
+    "slice": lambda e, v: (v[0] >> e.lsb) & _mask(e.width),
+    "mux": lambda e, v: v[1] if v[0] else v[2],
+}
+
+
+def eval_node(expr: Expr, values: list[int]) -> int:
+    """The value of a non-``var`` node whose arguments have ``values``."""
+    return _OPERATORS[expr.kind](expr, values)
+
+
 def eval_expr(expr: Expr, env: dict[str, int]) -> int:
-    k = expr.kind
-    if k == "const":
-        return expr.value
-    if k == "var":
-        return env[expr.name]
-    if k == "not":
-        return ~eval_expr(expr.args[0], env) & _mask(expr.width)
-    if k == "and":
-        return eval_expr(expr.args[0], env) & eval_expr(expr.args[1], env)
-    if k == "or":
-        return eval_expr(expr.args[0], env) | eval_expr(expr.args[1], env)
-    if k == "xor":
-        return eval_expr(expr.args[0], env) ^ eval_expr(expr.args[1], env)
-    if k == "add":
-        return (eval_expr(expr.args[0], env) + eval_expr(expr.args[1], env)) & _mask(expr.width)
-    if k == "sub":
-        return (eval_expr(expr.args[0], env) - eval_expr(expr.args[1], env)) & _mask(expr.width)
-    if k == "eq":
-        return int(eval_expr(expr.args[0], env) == eval_expr(expr.args[1], env))
-    if k == "lt":
-        return int(eval_expr(expr.args[0], env) < eval_expr(expr.args[1], env))
-    if k == "shl":
-        return (eval_expr(expr.args[0], env) << expr.amount) & _mask(expr.width)
-    if k == "shr":
-        return eval_expr(expr.args[0], env) >> expr.amount
-    if k == "slice":
-        return (eval_expr(expr.args[0], env) >> expr.lsb) & _mask(expr.width)
-    if k == "mux":
-        c, a, b = expr.args
-        return eval_expr(a, env) if eval_expr(c, env) else eval_expr(b, env)
-    raise AssertionError(f"unhandled kind {k}")
+    return expr.fold(lambda node, values: env[node.name] if node.kind == "var"
+                     else eval_node(node, values))
 
 
 def simulate(design: RtlDesign, input_trace: list[dict[str, int]],
@@ -134,7 +127,7 @@ class CompiledDesign:
     is held in :func:`uint_dtype` of its width and every value stays below
     2**width: a result is masked only where its width is narrower than its
     dtype. Constant-only subtrees are folded at compile time with Python
-    ints by :func:`eval_expr`, so no numpy scalar arithmetic (and none of
+    ints by :func:`eval_node`, so no numpy scalar arithmetic (and none of
     its overflow warnings) happens.
     """
 
@@ -155,8 +148,8 @@ class CompiledDesign:
             self._registers.append((signals[reg.name], uint_dtype(reg.width)))
         self._signals = signals
         for assign in topo_order(design):
-            signals[assign.target] = self._node(assign.expr)
-        self._next = [self._node(r.next) for r in design.registers]
+            signals[assign.target] = assign.expr.fold(self._node)
+        self._next = [r.next.fold(self._node) for r in design.registers]
         self._outputs = [(p.name, signals[p.name]) for p in design.output_ports]
         self._reuse_dead_slots()
         # Constants that leave as a signal value must be full vectors.
@@ -200,13 +193,13 @@ class CompiledDesign:
         self._ops.append((function, out, args))
         return out
 
-    def _node(self, expr: Expr) -> int:
-        """The slot holding ``expr``'s value. Nodes are numbered by kind,
-        parameters and argument slots, so equal subexpressions share one
-        slot without hashing whole subtrees."""
+    def _node(self, expr: Expr, args: list[int]) -> int:
+        """Fold visitor: the slot holding ``expr``'s value, given its
+        arguments' slots. Nodes are numbered by kind, parameters and
+        argument slots, so equal subexpressions share one slot without
+        hashing whole subtrees."""
         if expr.kind == "var":
             return self._signals[expr.name]
-        args = [self._node(a) for a in expr.args]
         key = (expr.kind, expr.width, expr.value, expr.amount, expr.lsb, *args)
         slot = self._memo.get(key)
         if slot is None:
@@ -215,13 +208,8 @@ class CompiledDesign:
 
     def _compile(self, expr: Expr, args: list[int]) -> int:
         k, width = expr.kind, expr.width
-        if k == "const":
-            return self._constant(expr.value, width)
-        if all(a in self._constants for a in args):
-            folded = replace(expr, args=tuple(
-                Expr("const", e.width, value=self._constants[a])
-                for e, a in zip(expr.args, args)))
-            return self._constant(eval_expr(folded, {}), width)
+        if all(a in self._constants for a in args):  # a const node has no args
+            return self._constant(eval_node(expr, [self._constants[a] for a in args]), width)
         dtype = uint_dtype(width)
         narrow = width not in (8, 16, 32, 64)  # narrower than its dtype
         if k in _BITWISE:

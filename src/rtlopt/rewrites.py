@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import replace
+from operator import is_not
 
 from .dsl import (
     ASSOCIATIVE_OPS,
@@ -88,11 +89,15 @@ def _map_statements(design: RtlDesign, fn, statement: tuple[str, int] | None = N
 
 
 def _map_expr(expr: Expr, fn) -> Expr:
-    """Bottom-up rebuild; ``fn`` may return a replacement node or None."""
-    new_args = tuple(_map_expr(a, fn) for a in expr.args)
-    node = expr if new_args == expr.args else replace(expr, args=new_args)
-    replacement = fn(node)
-    return node if replacement is None else replacement
+    """Bottom-up rebuild; ``fn`` may return a replacement node or None. A
+    node is rebuilt only where some argument was replaced."""
+    def visit(node: Expr, new_args: list[Expr]) -> Expr:
+        if any(map(is_not, new_args, node.args)):
+            node = replace(node, args=tuple(new_args))
+        replacement = fn(node)
+        return node if replacement is None else replacement
+
+    return expr.fold(visit)
 
 
 def _substitute(old: Expr, new: Expr):
@@ -121,9 +126,7 @@ def _hoist(design: RtlDesign, sub: Expr, base: str) -> RtlDesign:
 
 
 def _flatten_chain(expr: Expr, op: str) -> list[Expr]:
-    if expr.kind != op:
-        return [expr]
-    return _flatten_chain(expr.args[0], op) + _flatten_chain(expr.args[1], op)
+    return expr.fold(lambda node, parts: parts[0] + parts[1] if node.kind == op else [node])
 
 
 def _balanced(operands: list[Expr], op: str, width: int, loc) -> Expr:

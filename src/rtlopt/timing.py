@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 
-from .dsl import Expr, RtlDesign, reference_counts
+from .dsl import Expr, RtlDesign, reference_counts, topo_order
 from .records import Record
 
 # Diagnosis root cause -> skill-library pattern id.
@@ -148,25 +148,21 @@ def _endpoint_cone(path: TimingPath, design: RtlDesign) -> Expr | None:
 def _cone_var_counts(expr: Expr, design: RtlDesign) -> dict[str, int]:
     """Occurrences of each source signal in the full transitive cone.
 
-    A wire contributes its own cone's counts at every reference; each wire's
-    cone is counted once, so reconvergent ladders stay linear.
+    A wire contributes its own cone's counts at every reference. Every
+    wire's cone is counted once, in topological order, so reconvergent
+    ladders stay linear and a long wire chain needs no recursion.
     """
-    drivers = {a.target: a.expr for a in design.assigns}
     memo: dict[str, Counter] = {}
 
     def count(e: Expr) -> Counter:
         counts = Counter()
         for node in e.walk():
-            if node.kind != "var":
-                continue
-            if node.name not in drivers:
-                counts[node.name] += 1
-                continue
-            if node.name not in memo:
-                memo[node.name] = count(drivers[node.name])
-            counts.update(memo[node.name])
+            if node.kind == "var":  # a wire adds its cone's counts, a source itself
+                counts.update(memo.get(node.name, (node.name,)))
         return counts
 
+    for assign in topo_order(design):
+        memo[assign.target] = count(assign.expr)
     return count(expr)
 
 

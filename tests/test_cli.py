@@ -8,6 +8,7 @@ import os
 import pytest
 
 from corpus import CHAIN_ADDER_8
+from rtlopt import cli
 from rtlopt.cli import ConfigError, load_config, main
 
 
@@ -119,13 +120,40 @@ def test_eval_outputs_metrics_json(design_file, capsys):
     assert "sec_pass" not in payload
 
 
-def test_eval_deeply_nested_design(tmp_path, capsys):
+def _deep_chain(tmp_path, depth):
     deep = tmp_path / "deep.rtl"
     deep.write_text("module deep(input [7:0] a, input [7:0] b, output [7:0] y);\n"
-                    f"  assign y = {'(' * 120}a{' + b)' * 120};\nendmodule\n")
-    assert main(["eval", "--design", str(deep)]) == 0
+                    f"  assign y = {'(' * depth}a{' + b)' * depth};\nendmodule\n")
+    return str(deep)
+
+
+@pytest.mark.parametrize("depth", [120, 1000])
+def test_eval_deeply_nested_design(tmp_path, capsys, depth):
+    assert main(["eval", "--design", _deep_chain(tmp_path, depth)]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["wns"] < 0 and payload["area"] > 0
+
+
+def test_unmapped_exception_is_one_line_internal_error(design_file, tmp_path, capsys,
+                                                       monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("loop broke\n  at step 3")
+
+    monkeypatch.setattr(cli, "run", fail)
+    assert main(["optimize", "--design", design_file,
+                 "--out", str(tmp_path / "runs")]) == cli.EXIT_INTERNAL == 3
+    assert capsys.readouterr().err == "error: internal: RuntimeError: loop broke at step 3\n"
+
+
+def test_optimize_deep_chain_ends_in_result_or_internal_error(tmp_path, capsys):
+    code = main(["optimize", "--design", _deep_chain(tmp_path, 1000),
+                 "--out", str(tmp_path / "runs")])
+    err = capsys.readouterr().err
+    if code == cli.EXIT_OK:
+        assert err == ""
+    else:
+        assert code == cli.EXIT_INTERNAL
+        assert err.startswith("error: internal: ") and err.count("\n") == 1
 
 
 def test_eval_with_golden_reports_sec(design_file, tmp_path, capsys):

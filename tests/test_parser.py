@@ -4,16 +4,22 @@ import sys
 import time
 from contextlib import contextmanager
 
+import numpy as np
 import pytest
 
+from rtlopt.backend import BackendConfig, GoldenSec, synthesize
 from rtlopt.dsl import (
+    CompiledDesign,
+    Expr,
     RtlSemanticError,
     RtlSyntaxError,
     parse,
     print_design,
     print_expr,
+    simulate,
     topo_order,
 )
+from rtlopt.timing import diagnose, select_critical_paths
 
 
 def test_basic_module_shape():
@@ -190,6 +196,20 @@ def test_print_expr_fully_parenthesized():
     assert print_expr(d.assigns[0].expr) == "(a | (b & c))"
 
 
+def test_fold_visits_every_occurrence_children_first_left_to_right():
+    a = Expr("var", 4, name="a")
+    shared = Expr("not", 4, (a,))
+    root = Expr("mux", 4, (Expr("var", 1, name="s"), Expr("add", 4, (shared, shared)), a))
+    visited = []
+
+    def visit(node, values):
+        visited.append(node.name or node.kind)
+        return f"{node.name or node.kind}({','.join(values)})"
+
+    assert root.fold(visit) == "mux(s(),add(not(a()),not(a())),a())"
+    assert visited == ["s", "a", "not", "a", "not", "add", "a", "mux"]
+
+
 _HEAD = "module m(input a, input [3:0] b, output [3:0] y);\n"
 _END = "endmodule\n"
 
@@ -325,17 +345,52 @@ def _one_assign(expr):
     return f"module deep(input [7:0] a, output [7:0] y);\n  assign y = {expr};\nendmodule\n"
 
 
-def _reverse_chain(n):
+def _reverse_chain(n, step="+ a"):
     """``n`` wires, each reading the one before, with the assigns listed
     last wire first, so the cycle check walks the whole chain at once."""
     lines = [f"  wire [7:0] w{k};" for k in range(n)] + [f"  assign y = w{n - 1};"]
-    lines += [f"  assign w{k} = w{k - 1} + a;" for k in range(n - 1, 0, -1)]
+    lines += [f"  assign w{k} = w{k - 1} {step};" for k in range(n - 1, 0, -1)]
     lines.append("  assign w0 = a;")
-    return "module chain(input [7:0] a, output [7:0] y);\n" + "\n".join(lines) + "\nendmodule\n"
+    return ("module chain(input [7:0] a, input [7:0] b, output [7:0] y);\n"
+            + "\n".join(lines) + "\nendmodule\n")
 
 
 def _expr_nodes(design):
     return sum(1 for _ in design.assigns[0].expr.walk())
+
+
+def _chain_order(d, n):
+    return [a.target for a in topo_order(d)] == [f"w{k}" for k in range(n)] + ["y"]
+
+
+def _structure(design):
+    """What ``==`` compares on a design, less its source text and source
+    locations, with each expression flattened by the iterative ``walk``:
+    ``Expr.__eq__`` still recurses once per level."""
+    def nodes(expr):
+        return [(n.kind, n.width, n.name, n.value, n.amount, n.msb, n.lsb)
+                for n in expr.walk()]
+    return (design.name, design.ports, design.nets,
+            [(r.name, r.width, nodes(r.next)) for r in design.registers],
+            [(a.target, nodes(a.expr)) for a in design.assigns])
+
+
+def _through_every_layer(design):
+    """Print, simulate one frame on both engines, prove, synthesize and
+    diagnose ``design``; returns the diagnosis of its worst path."""
+    assert _structure(parse(print_design(design))) == _structure(design)
+    frame = {p.name: (0x5A + i) & ((1 << p.width) - 1)
+             for i, p in enumerate(design.input_ports)}
+    compiled = CompiledDesign(design).run(
+        [{name: np.array([v], dtype=np.uint64) for name, v in frame.items()}], 1)
+    assert {name: int(v[0]) for name, v in compiled[0].items()} == simulate(design, [frame], 1)[0]
+    assert GoldenSec(design).proves(design)
+    return _worst_diagnosis(design)
+
+
+def _worst_diagnosis(design):
+    report = synthesize(design, BackendConfig())[1]
+    return diagnose(select_critical_paths(report, 1)[0], design)
 
 
 # (source of size n, size, check of the parsed design at that size)
@@ -346,9 +401,11 @@ _DEEP_AND_WIDE = {
                    lambda d, n: _expr_nodes(d) == 2 * n - 1),
     "nested nots": (lambda n: _one_assign("~" * n + "a"), 1000,
                     lambda d, n: _expr_nodes(d) == n + 1),
-    "reverse-ordered chain": (_reverse_chain, 2000,
-                              lambda d, n: [a.target for a in topo_order(d)]
-                              == [f"w{k}" for k in range(n)] + ["y"]),
+    "reverse-ordered chain": (_reverse_chain, 2000, _chain_order),
+    # Every wire reads b again, so diagnosis reaches its reconvergence rule.
+    "bitwise wire chain": (lambda n: _reverse_chain(n, "^ b"), 2000,
+                           lambda d, n: _chain_order(d, n)
+                           and _worst_diagnosis(d).root_cause == "reconvergent"),
 }
 
 
@@ -363,10 +420,14 @@ def _best_seconds(fn, repeat=3):
 
 @pytest.mark.parametrize("shape", list(_DEEP_AND_WIDE))
 def test_deep_and_wide_inputs_parse_in_linear_time(shape):
+    """Each shape parses in linear time, then goes through every layer of
+    the loop, all without recursing per level or per wire."""
     build, n, check = _DEEP_AND_WIDE[shape]
     small, large = build(n // 4), build(n)
     with _recursion_headroom():
-        assert check(parse(large), n)
+        design = parse(large)
+        assert check(design, n)
+        _through_every_layer(design)
         quarter = _best_seconds(lambda: parse(small))
         full = _best_seconds(lambda: parse(large))
     # Four times the input takes about four times as long when parsing is
