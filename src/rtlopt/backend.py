@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsl import CompiledDesign, Expr, NormalForms, RtlDesign, topo_order, uint_dtype
+from .dsl import CompiledDesign, Expr, RtlDesign, output_forms, topo_order, uint_dtype
 from .records import Record, Settings
 from .timing import Stage, TimingPath, TimingReport
 
@@ -158,25 +158,28 @@ class BackendConfig(Settings):
 # --- builtin static timing analysis ---------------------------------------
 
 
-def _arrival(expr: Expr, net_arrivals: dict[str, float],
-             net_paths: dict[str, list[Stage]], filename: str,
-             reg_names: frozenset[str]) -> tuple[float, list[Stage]]:
-    """Longest arrival through an expression and its stage list."""
+def _arrival(expr: Expr, locs: tuple[tuple[int, int], ...],
+             nets: dict[str, tuple[float, list[Stage]]],
+             filename: str) -> tuple[float, list[Stage]]:
+    """Longest arrival through a statement's expression, and its stages; ``locs``
+    are the statement's node locations, ``nets`` the results of earlier nets."""
+    occurrences = iter(locs)
+
     def visit(node: Expr, args: list[tuple[float, list[Stage]]]):
+        line, col = next(occurrences, (0, 0))
         if node.kind == "const":
             return 0.0, []
         if node.kind == "var":
-            if node.name in net_arrivals and node.name not in reg_names:
-                return net_arrivals[node.name], list(net_paths[node.name])
+            if node.name in nets:
+                return nets[node.name]
             # input port or register output: path starts here
             return 0.0, [Stage(node=node.name, op="startpoint", delay_ns=0.0,
-                               file=filename, line=node.loc[0], col=node.loc[1])]
+                               file=filename, line=line, col=col)]
         best = (0.0, [])
         for cand in args:
             if cand[0] > best[0] or (cand[0] == best[0] and not best[1]):
                 best = cand
         delay = node_delay_ns(node.kind, _operand_width(node))
-        line, col = node.loc
         stage = Stage(node=f"{node.kind}_{line}_{col}", op=node.kind, delay_ns=delay,
                       file=filename, line=line, col=col, width=_operand_width(node))
         return best[0] + delay, best[1] + [stage]
@@ -191,23 +194,13 @@ def synthesize(design: RtlDesign, config: BackendConfig) -> tuple[PpaMetrics, Ti
 
 
 def _builtin_synthesize(design: RtlDesign, clock_ns: float) -> tuple[PpaMetrics, TimingReport]:
-    filename = design.filename
-    reg_names = design.register_names()
-    net_arrivals: dict[str, float] = {}
-    net_paths: dict[str, list[Stage]] = {}
+    nets: dict[str, tuple[float, list[Stage]]] = {}
     for assign in topo_order(design):
-        arrival, stages = _arrival(assign.expr, net_arrivals, net_paths, filename, reg_names)
-        net_arrivals[assign.target] = arrival
-        net_paths[assign.target] = stages
-
-    paths = []
-    endpoints: list[tuple[str, Expr]] = [(p.name, None) for p in design.output_ports]
-    for name, _ in endpoints:
-        arrival = net_arrivals.get(name, 0.0)
-        stages = net_paths.get(name, [])
-        paths.append(_make_path(name, arrival, stages, clock_ns))
+        nets[assign.target] = _arrival(assign.expr, assign.locs, nets, design.filename)
+    paths = [_make_path(p.name, *nets.get(p.name, (0.0, [])), clock_ns)
+             for p in design.output_ports]
     for reg in design.registers:
-        arrival, stages = _arrival(reg.next, net_arrivals, net_paths, filename, reg_names)
+        arrival, stages = _arrival(reg.next, reg.locs, nets, design.filename)
         paths.append(_make_path(reg.name, arrival, stages, clock_ns))
 
     paths.sort(key=lambda p: (p.slack_ns, p.endpoint))
@@ -259,16 +252,16 @@ class GoldenSec:
     None of them depends on the candidate: the output forms are computed on
     the first check of a register-free candidate, and the stimulus and
     traces once per frame count on the first check that simulates. All are
-    shared by every check against this golden, and the intern table that
-    candidates' forms join lasts as long as the context. Not thread-safe:
-    candidates are evaluated one after another on the loop's thread.
+    shared by every check against this golden. The golden's forms stay in
+    ``Expr``'s intern table as long as the context; a candidate's go with
+    its check. Neither this nor building an ``Expr`` is thread-safe: checks
+    run one by one on the loop's thread. If threads come back, so does a lock.
     """
 
     def __init__(self, golden: RtlDesign):
         self.golden = golden
         self._by_frames: dict[int, _Reference] = {}
-        self._forms = NormalForms()
-        self._golden_forms: tuple[int, ...] | None = None
+        self._golden_forms: tuple[Expr, ...] | None = None
 
     def proves(self, candidate: RtlDesign) -> bool:
         """True when neither design has registers and every output of the
@@ -277,8 +270,8 @@ class GoldenSec:
         if self.golden.registers or candidate.registers:
             return False
         if self._golden_forms is None:
-            self._golden_forms = self._forms.outputs(self.golden)
-        return self._forms.outputs(candidate) == self._golden_forms
+            self._golden_forms = output_forms(self.golden)
+        return output_forms(candidate) == self._golden_forms
 
     def reference(self, frames: int) -> _Reference:
         ref = self._by_frames.get(frames)

@@ -13,14 +13,14 @@ from .ast import (
     RtlSyntaxError,
     reference_counts,
 )
-from .normal import NormalForms
+from .normal import output_forms
 from .parser import parse, topo_order
 from .printer import print_design, print_expr
 from .simulate import CompiledDesign, eval_expr, simulate, uint_dtype
 
 __all__ = [
-    "Assign", "CompiledDesign", "Expr", "Net", "NormalForms", "Port", "Register",
+    "Assign", "CompiledDesign", "Expr", "Net", "Port", "Register",
     "RtlDesign", "RtlError", "RtlSemanticError", "RtlSyntaxError",
-    "eval_expr", "parse", "print_design", "print_expr",
+    "eval_expr", "output_forms", "parse", "print_design", "print_expr",
     "reference_counts", "simulate", "topo_order", "uint_dtype",
 ]

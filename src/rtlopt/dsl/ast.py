@@ -8,6 +8,7 @@ without copying.
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -51,26 +52,44 @@ class RtlSemanticError(RtlError):
     pass
 
 
-@dataclass(frozen=True)
+# Every live node, keyed by its fields in slot order (``args`` compares its
+# nodes by identity); an entry goes when its node is freed.
+_INTERNED: weakref.WeakValueDictionary[tuple, Expr] = weakref.WeakValueDictionary()
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class Expr:
     """One node of an elaborated expression tree.
 
     ``width`` is the result width in bits; arithmetic is unsigned modulo
     2**width and binary operands always have equal widths (no implicit
-    extension). ``loc`` is the (line, col) of the node's defining token;
-    equality and hashing ignore it, so two nodes are equal exactly when they
-    denote the same expression.
+    extension). Nodes are hash-consed (Filliâtre & Conchon, ML Workshop
+    2006): building a node equal to a live one returns that object, so
+    equality and hashing are identity. A node is shared by every statement
+    containing it, so source locations live in statements' ``locs``. Not
+    thread-safe to build; if threads come back, a lock comes with them.
     """
 
+    __slots__ = ("kind", "width", "args", "name", "value", "amount", "msb", "lsb",
+                 "__weakref__")
     kind: str
     width: int
-    args: tuple["Expr", ...] = ()
-    name: str | None = None       # var
-    value: int | None = None      # const
-    amount: int | None = None     # shl / shr
-    msb: int | None = None        # slice
-    lsb: int | None = None        # slice
-    loc: tuple[int, int] = field(default=(0, 0), compare=False)
+    args: tuple["Expr", ...]
+    name: str | None       # var
+    value: int | None      # const
+    amount: int | None     # shl / shr
+    msb: int | None        # slice
+    lsb: int | None        # slice
+
+    def __new__(cls, kind, width, args=(), name=None, value=None, amount=None, msb=None, lsb=None):
+        key = (kind, width, args, name, value, amount, msb, lsb)
+        node = _INTERNED.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for slot, field_value in zip(cls.__slots__, key):
+                object.__setattr__(node, slot, field_value)
+            _INTERNED[key] = node
+        return node
 
     def node_count(self) -> int:
         return sum(1 for _ in self.walk())
@@ -121,12 +140,15 @@ class Net:
     width: int
 
 
+# ``loc`` is a statement's first token; ``locs`` (ignored by equality) holds
+# each node occurrence's (line, col) in ``Expr.fold`` order, () if unparsed.
 @dataclass(frozen=True)
 class Register:
     name: str
     width: int
     next: Expr
     loc: tuple[int, int] = (0, 0)
+    locs: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -134,6 +156,7 @@ class Assign:
     target: str
     expr: Expr
     loc: tuple[int, int] = (0, 0)
+    locs: tuple[tuple[int, int], ...] = field(default=(), compare=False)
 
 
 @dataclass(frozen=True)
@@ -176,9 +199,6 @@ class RtlDesign:
     @property
     def output_ports(self) -> tuple[Port, ...]:
         return tuple(p for p in self.ports if p.direction == "output")
-
-    def register_names(self) -> frozenset[str]:
-        return frozenset(r.name for r in self.registers)
 
     def all_exprs(self):
         """Every top-level expression with its driving statement target."""

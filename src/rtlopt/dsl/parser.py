@@ -330,18 +330,18 @@ def _constant(tok: tuple) -> tuple:
 # --- elaboration ----------------------------------------------------------
 
 
-def _elaborate_expr(postfix: list[tuple], widths: dict[str, int]) -> Expr:
-    """Build the expression from its postfix list. Each node is checked
-    after its operands, left to right, which is the order a recursive walk
-    would raise its first error in."""
+def _elaborate_expr(postfix: list[tuple], widths: dict[str, int]) -> tuple[Expr, tuple]:
+    """The expression of a postfix list and its node locations, postfix order
+    being fold order. Each node is checked after its operands, left to right,
+    which is the order a recursive walk would raise its first error in."""
     stack: list[Expr] = []
     for kind, loc, p, q in postfix:
         if kind == "var":
             if p not in widths:
                 raise RtlSemanticError(f"undeclared identifier {p!r}", *loc)
-            stack.append(Expr("var", widths[p], name=p, loc=loc))
+            stack.append(Expr("var", widths[p], name=p))
         elif kind == "const":
-            stack.append(Expr("const", p, value=q, loc=loc))
+            stack.append(Expr("const", p, value=q))
         elif kind in BINARY_OPS:
             b = stack.pop()
             a = stack.pop()
@@ -349,7 +349,7 @@ def _elaborate_expr(postfix: list[tuple], widths: dict[str, int]) -> Expr:
                 raise RtlSemanticError(
                     f"operands of {kind} have mismatched widths {a.width} and {b.width}", *loc)
             width = 1 if kind in ("eq", "lt") else a.width
-            stack.append(Expr(kind, width, args=(a, b), loc=loc))
+            stack.append(Expr(kind, width, args=(a, b)))
         elif kind == "mux":
             b = stack.pop()
             a = stack.pop()
@@ -359,22 +359,22 @@ def _elaborate_expr(postfix: list[tuple], widths: dict[str, int]) -> Expr:
             if a.width != b.width:
                 raise RtlSemanticError(
                     f"mux arms have mismatched widths {a.width} and {b.width}", *loc)
-            stack.append(Expr("mux", a.width, args=(cond, a, b), loc=loc))
+            stack.append(Expr("mux", a.width, args=(cond, a, b)))
         else:
             arg = stack.pop()
             if kind == "not":
-                stack.append(Expr("not", arg.width, args=(arg,), loc=loc))
+                stack.append(Expr("not", arg.width, args=(arg,)))
             elif kind == "slice":
                 if not (0 <= q <= p < arg.width):
                     raise RtlSemanticError(
                         f"slice [{p}:{q}] outside operand width {arg.width}", *loc)
-                stack.append(Expr("slice", p - q + 1, args=(arg,), msb=p, lsb=q, loc=loc))
+                stack.append(Expr("slice", p - q + 1, args=(arg,), msb=p, lsb=q))
             else:
                 if p < 0 or p >= arg.width:
                     raise RtlSemanticError(
                         f"shift amount {p} outside operand width {arg.width}", *loc)
-                stack.append(Expr(kind, arg.width, args=(arg,), amount=p, loc=loc))
-    return stack[0]
+                stack.append(Expr(kind, arg.width, args=(arg,), amount=p))
+    return stack[0], tuple(item[1] for item in postfix)
 
 
 def parse(source: str, filename: str = "<memory>") -> RtlDesign:
@@ -388,7 +388,7 @@ def parse(source: str, filename: str = "<memory>") -> RtlDesign:
     name, port_decls, wires, regs, stmts = _Parser(tokens).parse_module()
 
     widths: dict[str, int] = {}
-    locs: dict[str, tuple[int, int]] = {}
+    decl_locs: dict[str, tuple[int, int]] = {}
 
     ports = [port for port, _ in port_decls]
     decls = [(p.name, p.width, loc) for p, loc in port_decls] + wires + regs
@@ -398,7 +398,7 @@ def parse(source: str, filename: str = "<memory>") -> RtlDesign:
         if width < 1 or width > MAX_WIDTH:
             raise RtlSemanticError(f"width {width} of {ident!r} outside [1, {MAX_WIDTH}]", *loc)
         widths[ident] = width
-        locs[ident] = loc
+        decl_locs[ident] = loc
     nets = [Net(wname, wwidth) for wname, wwidth, _ in wires]
     reg_widths = {rname: rwidth for rname, rwidth, _ in regs}
 
@@ -410,7 +410,7 @@ def parse(source: str, filename: str = "<memory>") -> RtlDesign:
     for kind, target, postfix, loc in stmts:
         if target not in widths:
             raise RtlSemanticError(f"undeclared target {target!r}", *loc)
-        expr = _elaborate_expr(postfix, widths)
+        expr, locs = _elaborate_expr(postfix, widths)
         if expr.width != widths[target]:
             raise RtlSemanticError(
                 f"cannot drive {widths[target]}-bit {target!r} "
@@ -423,23 +423,23 @@ def parse(source: str, filename: str = "<memory>") -> RtlDesign:
             if target in driven:
                 raise RtlSemanticError(f"multiple drivers for {target!r}", *loc)
             driven.add(target)
-            assigns.append(Assign(target, expr, loc))
+            assigns.append(Assign(target, expr, loc, locs))
         else:
             if target not in reg_widths:
                 raise RtlSemanticError(f"{target!r} is not a reg", *loc)
             if target in reg_updates:
                 raise RtlSemanticError(f"multiple drivers for register {target!r}", *loc)
-            reg_updates[target] = Register(target, reg_widths[target], expr, loc)
+            reg_updates[target] = Register(target, reg_widths[target], expr, loc, locs)
 
     for wname, _, loc in wires:
         if wname not in driven:
             raise RtlSemanticError(f"net {wname!r} has no driver", *loc)
     for p in ports:
         if p.direction == "output" and p.name not in driven:
-            raise RtlSemanticError(f"output {p.name!r} has no driver", *locs[p.name])
+            raise RtlSemanticError(f"output {p.name!r} has no driver", *decl_locs[p.name])
     for rname in reg_widths:
         if rname not in reg_updates:
-            raise RtlSemanticError(f"register {rname!r} has no driver", *locs[rname])
+            raise RtlSemanticError(f"register {rname!r} has no driver", *decl_locs[rname])
 
     registers = tuple(reg_updates[rname] for rname, _, _ in regs)
     design = RtlDesign(name, source, tuple(ports), tuple(nets), registers,
@@ -456,13 +456,12 @@ def topo_order(design: RtlDesign) -> list[Assign]:
     it reads, in the order its expression reads them.
     """
     by_target = {a.target: a for a in design.assigns}
-    reg_names = design.register_names()
     order: list[Assign] = []
     ordered: dict[str, bool] = {}  # False while a net is on the walk's path
 
     def reads(target: str):
         for node in by_target[target].expr.walk():
-            if node.kind == "var" and node.name in by_target and node.name not in reg_names:
+            if node.kind == "var" and node.name in by_target:
                 yield node.name
 
     for root in design.assigns:

@@ -136,7 +136,7 @@ class CompiledDesign:
         self._template: list = []          # slot -> constant scalar, or None
         self._constants: dict[int, int] = {}  # constant slot -> Python value
         self._ops: list[tuple] = []        # (function, output slot, argument slots)
-        self._memo: dict[tuple, int] = {}
+        self._memo: dict[Expr, int] = {}
         signals = {}
         self._inputs = []
         for port in design.input_ports:
@@ -195,15 +195,13 @@ class CompiledDesign:
 
     def _node(self, expr: Expr, args: list[int]) -> int:
         """Fold visitor: the slot holding ``expr``'s value, given its
-        arguments' slots. Nodes are numbered by kind, parameters and
-        argument slots, so equal subexpressions share one slot without
-        hashing whole subtrees."""
+        arguments' slots. Nodes are hash-consed, so each distinct
+        subexpression is compiled once and shares one slot."""
         if expr.kind == "var":
             return self._signals[expr.name]
-        key = (expr.kind, expr.width, expr.value, expr.amount, expr.lsb, *args)
-        slot = self._memo.get(key)
+        slot = self._memo.get(expr)
         if slot is None:
-            slot = self._memo[key] = self._compile(expr, args)
+            slot = self._memo[expr] = self._compile(expr, args)
         return slot
 
     def _compile(self, expr: Expr, args: list[int]) -> int:

@@ -3,7 +3,7 @@
 Each strategy edits the design AST and the result is re-printed and
 re-parsed, so every candidate goes back through full elaboration checks
 and its ``source`` is its canonical text. Subexpressions are found and
-replaced by value: ``Expr`` equality ignores source locations. The
+replaced by identity, which is value equality for hash-consed ``Expr``s. The
 transformations are intended to be sequentially equivalent to their
 parent; the evaluation backend still verifies every candidate (the test
 suite proves the catalog against the exhaustive equivalence oracle).
@@ -101,8 +101,8 @@ def _map_expr(expr: Expr, fn) -> Expr:
 
 
 def _substitute(old: Expr, new: Expr):
-    """An expression map that replaces every subexpression equal to ``old``."""
-    return lambda expr: _map_expr(expr, lambda node: new if node == old else None)
+    """An expression map that replaces every occurrence of ``old``."""
+    return lambda expr: _map_expr(expr, lambda node: new if node is old else None)
 
 
 def _replace_in(design: RtlDesign, statement: tuple[str, int],
@@ -129,13 +129,13 @@ def _flatten_chain(expr: Expr, op: str) -> list[Expr]:
     return expr.fold(lambda node, parts: parts[0] + parts[1] if node.kind == op else [node])
 
 
-def _balanced(operands: list[Expr], op: str, width: int, loc) -> Expr:
+def _balanced(operands: list[Expr], op: str, width: int) -> Expr:
     if len(operands) == 1:
         return operands[0]
     mid = len(operands) // 2
-    left = _balanced(operands[:mid], op, width, loc)
-    right = _balanced(operands[mid:], op, width, loc)
-    return Expr(op, width, args=(left, right), loc=loc)
+    left = _balanced(operands[:mid], op, width)
+    right = _balanced(operands[mid:], op, width)
+    return Expr(op, width, args=(left, right))
 
 
 def tree_rebalance(design: RtlDesign, region=None) -> RtlDesign:
@@ -147,8 +147,8 @@ def tree_rebalance(design: RtlDesign, region=None) -> RtlDesign:
             operands = _flatten_chain(node, node.kind)
             if len(operands) < 3:
                 continue
-            balanced = _balanced(operands, node.kind, node.width, node.loc)
-            if balanced != node:
+            balanced = _balanced(operands, node.kind, node.width)
+            if balanced is not node:
                 return _replace_in(design, (kind, index), node, balanced)
     raise NotApplicable("no reassociable operator chain in region")
 
@@ -232,39 +232,39 @@ def mux_restructure(design: RtlDesign, region=None) -> RtlDesign:
             if len(arms) < 3 or not _one_hot_chain(arms):
                 continue
             tree = _build_mux_tree(arms, default, node.width)
-            if tree != node:
+            if tree is not node:
                 return _replace_in(design, (kind, index), node, tree)
     raise NotApplicable("no restructurable mux chain in region")
 
 
-def _reroute_sinks(design: RtlDesign, name: str, replica: str, keep: int):
-    """Rewrite var refs to ``name``: the first ``keep`` stay, the rest move."""
-    counter = {"n": 0}
+def _split_sinks(design: RtlDesign, names, suffix: str, absent: str):
+    """(name, copy, assigns, registers): the signal among ``names`` with the
+    most sinks (ties to the later name), a fresh ``<name>_<suffix>``, and the
+    statements with its references after the first half reading the copy."""
+    fanout = reference_counts(design)
+    candidates = [(fanout[n], n) for n in names if fanout[n] >= MIN_REPLICATION_FANOUT]
+    if not candidates:
+        raise NotApplicable(absent)
+    count, name = max(candidates)
+    copy = _fresh_name(design, f"{name}_{suffix}")
+    keep, seen = math.ceil(count / 2), 0
 
-    def fn(node: Expr):
+    def reroute(node: Expr):
+        nonlocal seen
         if node.kind == "var" and node.name == name:
-            counter["n"] += 1
-            if counter["n"] > keep:
-                return replace(node, name=replica)
+            seen += 1
+            if seen > keep:
+                return replace(node, name=copy)
         return None
 
-    return _map_statements(design, lambda expr: _map_expr(expr, fn))
+    return (name, copy, *_map_statements(design, lambda expr: _map_expr(expr, reroute)))
 
 
 def signal_replication(design: RtlDesign, region=None) -> RtlDesign:
     """Duplicate the driver of the highest-fanout wire and split its sinks."""
-    fanout = reference_counts(design)
-    candidates = [
-        (fanout.get(n.name, 0), n.name) for n in design.nets
-        if fanout.get(n.name, 0) >= MIN_REPLICATION_FANOUT
-    ]
-    if not candidates:
-        raise NotApplicable("no wire with enough fanout to replicate")
-    _, name = max(candidates, key=lambda t: (t[0], t[1]))
+    name, replica, assigns, registers = _split_sinks(
+        design, [n.name for n in design.nets], "rep", "no wire with enough fanout to replicate")
     driver = next(a for a in design.assigns if a.target == name)
-    replica = _fresh_name(design, f"{name}_rep")
-    keep = math.ceil(fanout[name] / 2)
-    assigns, registers = _reroute_sinks(design, name, replica, keep)
     assigns.append(Assign(replica, driver.expr))
     return _rebuild(design, nets=list(design.nets) + [Net(replica, design.width_of(name))],
                     registers=registers, assigns=assigns)
@@ -276,17 +276,10 @@ def selective_register_insertion(design: RtlDesign, region=None) -> RtlDesign:
     Latency-preserving by construction: the duplicate loads the same
     next-state value on the same clock; no pipeline stage is added.
     """
-    fanout = reference_counts(design)
-    candidates = [
-        (fanout.get(r.name, 0), r.name, r) for r in design.registers
-        if fanout.get(r.name, 0) >= 2
-    ]
-    if not candidates:
-        raise NotApplicable("no register with enough sinks to duplicate")
-    _, name, reg = max(candidates, key=lambda t: (t[0], t[1]))
-    duplicate = _fresh_name(design, f"{name}_dup")
-    keep = math.ceil(fanout[name] / 2)
-    assigns, registers = _reroute_sinks(design, name, duplicate, keep)
+    name, duplicate, assigns, registers = _split_sinks(
+        design, [r.name for r in design.registers], "dup",
+        "no register with enough sinks to duplicate")
+    reg = next(r for r in design.registers if r.name == name)
     registers.append(Register(duplicate, reg.width, reg.next))
     return _rebuild(design, registers=registers, assigns=assigns)
 
@@ -299,7 +292,7 @@ def _fold_node(node: Expr) -> Expr | None:
     args = node.args
     if args and all(a.kind == "const" for a in args) and node.kind != "var":
         value = eval_expr(node, {})
-        return Expr("const", node.width, value=value, loc=node.loc)
+        return Expr("const", node.width, value=value)
     if node.kind in ("and", "or", "xor", "add", "sub"):
         a, b = args
         for x, y in ((a, b), (b, a)):
@@ -307,13 +300,13 @@ def _fold_node(node: Expr) -> Expr | None:
                 continue
             v = y.value
             if node.kind == "and" and v == 0:
-                return Expr("const", node.width, value=0, loc=node.loc)
+                return Expr("const", node.width, value=0)
             if node.kind == "and" and v == _all_ones(node.width):
                 return x
             if node.kind == "or" and v == 0:
                 return x
             if node.kind == "or" and v == _all_ones(node.width):
-                return Expr("const", node.width, value=_all_ones(node.width), loc=node.loc)
+                return Expr("const", node.width, value=_all_ones(node.width))
             if node.kind == "xor" and v == 0:
                 return x
             if node.kind == "add" and v == 0:

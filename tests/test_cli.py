@@ -145,15 +145,10 @@ def test_unmapped_exception_is_one_line_internal_error(design_file, tmp_path, ca
     assert capsys.readouterr().err == "error: internal: RuntimeError: loop broke at step 3\n"
 
 
-def test_optimize_deep_chain_ends_in_result_or_internal_error(tmp_path, capsys):
-    code = main(["optimize", "--design", _deep_chain(tmp_path, 1000),
-                 "--out", str(tmp_path / "runs")])
-    err = capsys.readouterr().err
-    if code == cli.EXIT_OK:
-        assert err == ""
-    else:
-        assert code == cli.EXIT_INTERNAL
-        assert err.startswith("error: internal: ") and err.count("\n") == 1
+def test_optimize_deep_chain_finishes(tmp_path, capsys):
+    assert main(["optimize", "--design", _deep_chain(tmp_path, 1000),
+                 "--out", str(tmp_path / "runs")]) == cli.EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 def test_eval_with_golden_reports_sec(design_file, tmp_path, capsys):

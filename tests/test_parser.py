@@ -1,7 +1,9 @@
 """Parser, elaboration, and printer round-trip tests."""
 
+import gc
 import sys
 import time
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -19,6 +21,7 @@ from rtlopt.dsl import (
     simulate,
     topo_order,
 )
+from rtlopt.dsl.ast import _INTERNED
 from rtlopt.timing import diagnose, select_critical_paths
 
 
@@ -179,15 +182,52 @@ endmodule
 
 
 def test_exprs_equal_by_value_not_location():
+    """Texts that differ only in spacing parse to the very same nodes; only
+    the statements' locations differ."""
     tight = parse("module e(input [3:0] a, input [3:0] b, output [3:0] y); "
-                  "assign y = a+b; endmodule").assigns[0].expr
+                  "assign y = a+b; endmodule").assigns[0]
     loose = parse("module e(input [3:0] a, input [3:0] b, output [3:0] y);\n\n"
-                  "  assign y =   ( a  +  b );\nendmodule\n").assigns[0].expr
-    assert tight.loc != loose.loc
-    assert tight == loose and hash(tight) == hash(loose)
+                  "  assign y =   ( a  +  b );\nendmodule\n").assigns[0]
+    assert tight.locs != loose.locs
+    assert tight.expr is loose.expr
     swapped = parse("module e(input [3:0] a, input [3:0] b, output [3:0] y); "
                     "assign y = b + a; endmodule").assigns[0].expr
-    assert tight != swapped
+    assert tight.expr != swapped
+
+
+def test_reparsed_print_returns_the_same_nodes():
+    design = parse(_SHARING)
+    again = parse(print_design(design))
+    assert all(x.expr is y.expr for x, y in zip(again.assigns, design.assigns))
+    assert all(x.next is y.next for x, y in zip(again.registers, design.registers))
+
+
+def test_intern_table_forgets_dropped_designs():
+    """The table holds its nodes weakly: once a design is dropped, none of
+    its nodes stays alive or keeps an entry, so long runs do not grow it."""
+    gc.collect()
+    before = len(_INTERNED)
+    # Names and constants no other test uses, so no other design shares a node.
+    design = parse("module dropped(input [6:0] gc_a, input gc_s, output [6:0] gc_y);\n"
+                   "  assign gc_y = gc_s ? (gc_a + 7'd93) : ~gc_a;\nendmodule\n")
+    nodes = [weakref.ref(node) for _, expr in design.all_exprs() for node in expr.walk()]
+    assert len(_INTERNED) > before
+    del design
+    gc.collect()
+    assert all(ref() is None for ref in nodes)
+    assert len(_INTERNED) == before
+
+
+_SHARING = """\
+module sharing(input [5:0] a, input [5:0] b, input s, output [5:0] y, output [5:0] z);
+  reg [5:0] q;
+  assign y = s ? (a + b) : (q ^ 6'd9);
+  assign z = (a + b) - q;
+  always_ff begin
+    q <= (a + b) & ~q;
+  end
+endmodule
+"""
 
 
 def test_print_expr_fully_parenthesized():

@@ -87,9 +87,16 @@ _SYMBOLS = {**OP_SYMBOL, "mux": "?", "slice": "[", "not": "~"}
 _TOKEN_AT = re.compile(r"\d+'[bdh][0-9a-fA-F_]+|[A-Za-z_]\w*|<<|>>|==|<=|.")
 
 
+def _fold_order(expr):
+    nodes = []
+    expr.fold(lambda node, _: nodes.append(node))
+    return nodes
+
+
 def _assert_locs_at_defining_tokens(design, text):
     """Every statement's loc is at `assign` or at the register it updates,
-    and every node's loc is at its name, constant or operator symbol."""
+    and each node occurrence's loc in the statement's ``locs`` is at its
+    name, constant or operator symbol."""
     lines = text.split("\n")
 
     def token_at(loc):
@@ -98,9 +105,13 @@ def _assert_locs_at_defining_tokens(design, text):
 
     assert all(token_at(a.loc) == "assign" for a in design.assigns)
     assert all(token_at(r.loc) == r.name for r in design.registers)
-    for _, expr in design.all_exprs():
-        for node in expr.walk():
-            token = token_at(node.loc)
+    statements = [(a.expr, a.locs) for a in design.assigns]
+    statements += [(r.next, r.locs) for r in design.registers]
+    for expr, locs in statements:
+        nodes = _fold_order(expr)
+        assert len(nodes) == len(locs)
+        for node, loc in zip(nodes, locs):
+            token = token_at(loc)
             if node.kind == "var":
                 assert token == node.name, (node, token)
             elif node.kind == "const":
@@ -120,8 +131,8 @@ _SPACES = st.lists(st.sampled_from([" ", "\t", "\n", "  // note\n", "\r\n ", "\n
 def test_locations_point_at_defining_tokens(case, spaces):
     """The generated text with its spaces replaced by tabs, newlines, CRLF
     and comments parses with every loc on its token, and so does its
-    canonical print. ``Expr`` equality ignores locs, so only this checks
-    the tokenizer's lines and columns."""
+    canonical print. Equality ignores locs, so only this checks the
+    tokenizer's lines and columns."""
     width, expr_text = case
     pieces = expr_text.split(" ")
     spaced = pieces[0] + "".join(spaces[k % len(spaces)] + piece
@@ -153,11 +164,12 @@ _HAND_WRITTEN = (
 def test_locations_with_comments_tabs_and_crlf():
     design = parse(_HAND_WRITTEN)
     _assert_locs_at_defining_tokens(design, _HAND_WRITTEN)
+    # In fold order a statement's root comes last, just after its last argument.
     t, y = design.assigns
-    assert (t.loc, t.expr.loc, t.expr.args[1].loc) == ((6, 2), (6, 21), (6, 23))
-    assert (y.loc, y.expr.loc, y.expr.args[2].loc) == ((8, 3), (8, 16), (8, 35))
+    assert (t.loc, t.locs[-1], t.locs[-2]) == ((6, 2), (6, 21), (6, 23))
+    assert (y.loc, y.locs[-1], y.locs[-2]) == ((8, 3), (8, 16), (8, 35))
     (q,) = design.registers
-    assert (q.loc, q.next.loc, q.next.args[1].loc) == ((10, 3), (10, 10), (10, 12))
+    assert (q.loc, q.locs[-1], q.locs[-2]) == ((10, 3), (10, 10), (10, 12))
     assert q.next.args[1].value == 255
 
 

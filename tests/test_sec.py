@@ -27,7 +27,7 @@ from rtlopt.backend import (
     check_equivalence,
     simulate_equivalence,
 )
-from rtlopt.dsl import CompiledDesign, parse, simulate, uint_dtype
+from rtlopt.dsl import CompiledDesign, Expr, normal, output_forms, parse, simulate, uint_dtype
 from rtlopt.orchestrator import RunConfig, run
 from rtlopt.trajectory import RunState
 
@@ -62,6 +62,27 @@ def test_normal_form_proves_register_free_equivalent_pairs(bcfg):
     through different compares) has equal normal forms."""
     modes = [check_equivalence(parse(g), parse(c), bcfg).mode for g, c in EQUIVALENT_PAIRS]
     assert modes == [SEC_SYMBOLIC] * 6 + [SEC_EXHAUSTIVE] * 2 + [SEC_SYMBOLIC] * 2
+
+
+@pytest.mark.parametrize("n", [750, 3000])
+def test_flat_chain_form_is_built_once_per_chain(monkeypatch, n):
+    """A flat n-term chain's form is built where the chain ends, not at every
+    level: the nodes built hold about n operands in all, where one form per
+    level would hold about n**2/3."""
+    built = []
+
+    def counted(*args, **kwargs):
+        node = Expr(*args, **kwargs)
+        built.append(len(node.args))
+        return node
+
+    monkeypatch.setattr(normal, "Expr", counted)
+    terms = " + ".join(["a", "b", "8'd1"] * (n // 3))
+    (form,) = output_forms(parse("module flat(input [7:0] a, input [7:0] b, output [7:0] y);\n"
+                                 f"  assign y = {terms};\nendmodule\n"))
+    assert form.kind == "add" and len(form.args) == 2 * n // 3 + 1
+    assert [f.value for f in form.args if f.kind == "const"] == [n // 3 % 256]
+    assert sum(built) <= n
 
 
 @pytest.mark.parametrize("golden_src,candidate_src", SYMBOLIC_NEAR_MISS_PAIRS)

@@ -131,3 +131,27 @@ def test_stage_list_reconstructs_arrival(bcfg):
 def test_custom_clock_shifts_slack_only():
     tight, _ = synthesize(parse(CHAIN_ADDER_8), BackendConfig(clock_period=0.6))
     assert tight.wns == pytest.approx(-0.13)
+
+
+SHARED_SUM = """\
+module shared(input [7:0] a, input [7:0] b, input [7:0] c, output [7:0] y, output [7:0] z);
+  assign y = (a + b) ^ c;
+  assign z = c & (a + b);
+endmodule
+"""
+
+
+def test_shared_subexpression_stages_name_their_own_occurrence(bcfg):
+    """`(a + b)` is one node in both statements and in a second design with
+    the same statements two lines lower; each occurrence's stage still
+    carries its own line and column."""
+    design = parse(SHARED_SUM)
+    lower = parse(SHARED_SUM.replace("  assign y", "\n\n  assign y"))
+    assert design.assigns[0].expr.args[0] is lower.assigns[1].expr.args[1]
+    for shift, d in ((2, lower), (0, design)):
+        _, report = synthesize(d, bcfg)
+        stages = {p.endpoint: [(s.node, s.line, s.col) for s in p.stages]
+                  for p in report.endpoints}
+        y, z = 2 + shift, 3 + shift
+        assert stages == {"y": [(f"add_{y}_17", y, 17), (f"xor_{y}_22", y, 22)],
+                          "z": [(f"add_{z}_21", z, 21), (f"and_{z}_16", z, 16)]}
