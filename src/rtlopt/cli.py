@@ -103,7 +103,11 @@ def cmd_optimize(args) -> int:
         return EXIT_BASELINE
 
     with open(os.path.join(result.run_dir, "state.json")) as fh:
-        baseline = be.PpaMetrics.from_dict(json.load(fh)["baseline"])
+        state = RunState.from_dict(json.load(fh))
+    baseline = be.PpaMetrics.from_dict(state.baseline)
+    # A rate over no evaluated candidate is not 0; result.json still says 0.0.
+    pass_rate = (f"{result.sec_pass_rate:.2f}" if running_best(state)[-1].evaluated
+                 else "n/a (0 evaluated)")
     best = result.best_metrics
     imp = result.improvement
     print(f"run dir: {result.run_dir}")
@@ -111,7 +115,7 @@ def cmd_optimize(args) -> int:
     print(f"{'WNS':<8}{baseline.wns:>12g}{_fmt_delta(best.wns, imp['wns_pct']):>22}")
     print(f"{'TNS':<8}{baseline.tns:>12g}{_fmt_delta(best.tns, imp['tns_pct']):>22}")
     print(f"{'area':<8}{baseline.area:>12g}{_fmt_delta(best.area, imp['area_pct']):>22}")
-    print(f"SEC pass rate: {result.sec_pass_rate:.2f}  "
+    print(f"SEC pass rate: {pass_rate}  "
           f"convergence steps: {result.convergence_steps}  status: {result.status}")
     return EXIT_OK
 

@@ -27,6 +27,14 @@ Operators, loosest first; binary operators are left-associative:
     ~x               not
     x[m:l], x[m]     slice
 
+Parsing is two steps. Syntax turns text into a located draft: declarations
+with their locations and each statement's expression as a postfix list.
+Elaboration checks a draft (declarations, the width rule of every node,
+drivers, the cycle check) and builds the design. Printer output carries the
+draft the syntax step would build from it, so it goes straight to
+elaboration: it gives the design, or the error and location, its text
+gives, without being tokenized.
+
 The front end is iterative, so nesting depth is bounded by memory, not by
 Python's recursion limit: the expression parser keeps operators on an
 explicit stack and emits postfix order, elaboration evaluates that postfix
@@ -36,6 +44,7 @@ list on an operand stack, and the cycle check walks an explicit path.
 from __future__ import annotations
 
 import re
+import weakref
 
 from .ast import (
     BINARY_OPS,
@@ -49,6 +58,7 @@ from .ast import (
     RtlSemanticError,
     RtlSyntaxError,
 )
+from .printer import PrintedText
 
 KEYWORDS = {
     "module", "endmodule", "input", "output", "wire", "reg",
@@ -320,11 +330,15 @@ def _constant(tok: tuple) -> tuple:
         value = int(rest[1:].replace("_", ""), _BASES[rest[0]])
     except ValueError:
         raise RtlSyntaxError(f"invalid digits in constant {text!r}", line, col) from None
-    if width < 1 or width > MAX_WIDTH:
-        raise RtlSyntaxError(f"constant width {width} outside [1, {MAX_WIDTH}]", line, col)
-    if value >= (1 << width):
-        raise RtlSyntaxError(f"constant value {value} does not fit in {width} bits", line, col)
+    _check_constant(width, value, (line, col))
     return "const", (line, col), width, value
+
+
+def _check_constant(width: int, value: int, loc: tuple[int, int]):
+    if width < 1 or width > MAX_WIDTH:
+        raise RtlSyntaxError(f"constant width {width} outside [1, {MAX_WIDTH}]", *loc)
+    if value >= (1 << width):
+        raise RtlSyntaxError(f"constant value {value} does not fit in {width} bits", *loc)
 
 
 # --- elaboration ----------------------------------------------------------
@@ -341,6 +355,7 @@ def _elaborate_expr(postfix: list[tuple], widths: dict[str, int]) -> tuple[Expr,
                 raise RtlSemanticError(f"undeclared identifier {p!r}", *loc)
             stack.append(Expr("var", widths[p], name=p))
         elif kind == "const":
+            _check_constant(p, q, loc)  # again for text; a draft's come from code
             stack.append(Expr("const", p, value=q))
         elif kind in BINARY_OPS:
             b = stack.pop()
@@ -377,16 +392,13 @@ def _elaborate_expr(postfix: list[tuple], widths: dict[str, int]) -> tuple[Expr,
     return stack[0], tuple(item[1] for item in postfix)
 
 
-def parse(source: str, filename: str = "<memory>") -> RtlDesign:
-    """Parse and elaborate RTL-lite source into an immutable design.
-
-    Raises RtlSyntaxError on malformed input and RtlSemanticError on
-    undeclared names, duplicate drivers, width mismatches, out-of-range
-    widths, or combinational cycles.
-    """
-    tokens = _tokenize(source)
-    name, port_decls, wires, regs, stmts = _Parser(tokens).parse_module()
-
+def _elaborate(draft: tuple, source: str, filename: str) -> RtlDesign:
+    """Check a located draft and build its design: declarations, the width
+    rule of every node, drivers, then the cycle check. A draft is ``(name,
+    ports, wires, regs, statements)`` with ``(Port, loc)`` ports, ``(name,
+    width, loc)`` declarations and ``(kind, target, postfix, loc)``
+    statements."""
+    name, port_decls, wires, regs, stmts = draft
     widths: dict[str, int] = {}
     decl_locs: dict[str, tuple[int, int]] = {}
 
@@ -445,6 +457,33 @@ def parse(source: str, filename: str = "<memory>") -> RtlDesign:
     design = RtlDesign(name, source, tuple(ports), tuple(nets), registers,
                        tuple(assigns), filename=filename)
     topo_order(design)  # raises on a combinational cycle
+    return design
+
+
+# Every live design, keyed by (source, filename); an entry goes when its
+# design is freed. Not thread-safe, like the ``Expr`` table.
+_DESIGNS: weakref.WeakValueDictionary[tuple[str, str], RtlDesign] = (
+    weakref.WeakValueDictionary())
+
+
+def parse(source: str, filename: str = "<memory>") -> RtlDesign:
+    """Parse and elaborate RTL-lite source into an immutable design.
+
+    Designs are hash-consed like ``Expr`` nodes: while the design of
+    ``(source, filename)`` lives, parsing that text again returns it. Printer
+    output goes straight to elaboration with the draft it carries; any other
+    text is tokenized first.
+
+    Raises RtlSyntaxError on malformed input and RtlSemanticError on
+    undeclared names, duplicate drivers, width mismatches, out-of-range
+    widths, or combinational cycles.
+    """
+    design = _DESIGNS.get((source, filename))
+    if design is None:
+        draft = (source.draft if type(source) is PrintedText
+                 else _Parser(_tokenize(source)).parse_module())
+        design = _elaborate(draft, str(source), filename)
+        _DESIGNS[design.source, filename] = design
     return design
 
 

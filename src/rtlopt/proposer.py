@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .dsl import RtlDesign, print_design
 from .records import Settings
-from .rewrites import STRATEGY_FUNCTIONS, NotApplicable, apply_strategy
+from .rewrites import REGIONAL_STRATEGIES, STRATEGY_FUNCTIONS, NotApplicable, apply_strategy
 from .skills import SkillLibrary, match
 from .timing import BottleneckDiagnosis
 
@@ -74,7 +74,7 @@ def _try_strategy(parent: RtlDesign, strategy: str,
     try:
         return apply_strategy(parent, strategy, region)
     except NotApplicable:
-        if region is None:
+        if region is None or strategy not in REGIONAL_STRATEGIES:
             return None
     try:
         return apply_strategy(parent, strategy, None)  # widen to whole design

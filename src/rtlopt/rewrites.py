@@ -1,8 +1,9 @@
 """Rule-based, equivalence-preserving RTL transformations.
 
-Each strategy edits the design AST and the result is re-printed and
-re-parsed, so every candidate goes back through full elaboration checks
-and its ``source`` is its canonical text. Subexpressions are found and
+Each strategy edits the design AST and the result is printed and parsed
+back. The printed text carries its located draft, so parsing it skips the
+tokenizer but still runs every elaboration check, and a candidate's
+``source`` is its canonical text. Subexpressions are found and
 replaced by identity, which is value equality for hash-consed ``Expr``s. The
 transformations are intended to be sequentially equivalent to their
 parent; the evaluation backend still verifies every candidate (the test
@@ -241,6 +242,8 @@ def _split_sinks(design: RtlDesign, names, suffix: str, absent: str):
     """(name, copy, assigns, registers): the signal among ``names`` with the
     most sinks (ties to the later name), a fresh ``<name>_<suffix>``, and the
     statements with its references after the first half reading the copy."""
+    if not names:
+        raise NotApplicable(absent)
     fanout = reference_counts(design)
     candidates = [(fanout[n], n) for n in names if fanout[n] >= MIN_REPLICATION_FANOUT]
     if not candidates:
@@ -356,6 +359,12 @@ STRATEGY_FUNCTIONS = {
     "decomposition": decomposition,
     "constant-fold": constant_fold,
 }
+
+
+# The strategies that act only on statements inside the region they are given;
+# the others act on the whole design whatever the region.
+REGIONAL_STRATEGIES = frozenset({
+    "condition-precompute", "tree-rebalance", "mux-restructure", "decomposition"})
 
 
 def apply_strategy(design: RtlDesign, strategy: str,

@@ -13,7 +13,10 @@ The store has one writer: the loop's own thread records every iteration
 after the group's evaluation has returned, so it holds no lock. ``state.json``
 is written when the run starts, when each iteration is finalized and when
 the run ends; beginning an iteration and recording its candidates only
-change the in-memory state.
+change the in-memory state. A finalized iteration cannot change again, so
+its canonical JSON is encoded once, when it is finalized, and every later
+write joins the kept pieces: encoding a run is linear in its length, not
+quadratic.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .backend import EvalResult
 from .records import Record
@@ -104,6 +107,7 @@ class TrajectoryStore:
     def __init__(self, root: str, state: RunState):
         self.root = root
         self.state = state
+        self._encoded: dict[int, str] = {}  # iteration index -> its canonical JSON
         os.makedirs(os.path.join(root, "designs"), exist_ok=True)
 
     # --- persistence ------------------------------------------------------
@@ -112,9 +116,21 @@ class TrajectoryStore:
     def state_path(self) -> str:
         return os.path.join(self.root, "state.json")
 
+    def _payload(self) -> str:
+        """``canonical_json(self.state.to_dict())``, with each finalized
+        iteration's piece encoded once, when it was finalized. Sorted keys
+        and compact separators make an object the join of its encoded items."""
+        iterations = ",".join(self._encoded.get(it.index) or canonical_json(it.to_dict())
+                              for it in self.state.iterations)
+        head = replace(self.state, iterations=[]).to_dict()
+        return "{" + ",".join(
+            canonical_json(key) + ":"
+            + (f"[{iterations}]" if key == "iterations" else canonical_json(value))
+            for key, value in sorted(head.items())) + "}"
+
     # Every write goes through this one name: perfbench counts writes on it.
     def _persist_locked(self):
-        payload = canonical_json(self.state.to_dict())
+        payload = self._payload()
         tmp = self.state_path + ".tmp"
         with open(tmp, "w") as fh:
             fh.write(payload)
@@ -169,6 +185,8 @@ class TrajectoryStore:
 
     def finalize_iteration(self, iteration: IterationRecord, stats: GroupStats,
                            selected: str | None):
+        if iteration.finalized:
+            raise TrajectoryError(f"iteration {iteration.index} already finalized")
         if len(iteration.candidates) < iteration.group_size:
             raise TrajectoryError(
                 f"only {len(iteration.candidates)}/{iteration.group_size} "
@@ -186,6 +204,7 @@ class TrajectoryStore:
         iteration.group_stats = stats
         iteration.selected = selected
         iteration.finalized = True
+        self._encoded[iteration.index] = canonical_json(iteration.to_dict())
         self._persist_locked()
 
 

@@ -71,6 +71,19 @@ def test_optimize_success_and_summary(design_file, tmp_path, capsys):
     assert os.path.isdir(str(tmp_path / "runs" / "chain-seed0"))
 
 
+def test_optimize_with_nothing_evaluated_has_no_pass_rate(tmp_path, capsys):
+    """No catalog strategy applies to a bare wire, so every slot is skipped:
+    a pass rate over no candidate is not 0.00."""
+    path = tmp_path / "wire.rtl"
+    path.write_text("module wire1(input [3:0] a, output [3:0] y);\n  assign y = a;\nendmodule\n")
+    code = main(["optimize", "--design", str(path), "--out", str(tmp_path / "runs")])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "SEC pass rate: n/a (0 evaluated)" in out
+    with open(tmp_path / "runs" / "wire1-seed0" / "result.json") as fh:
+        assert json.load(fh)["sec_pass_rate"] == 0.0  # the schema keeps a number
+
+
 def test_optimize_config_error_exit_1(design_file, tmp_path, capsys):
     config = _write(tmp_path, "bad.json", {"run": {"iterations": 0}})
     code = main(["optimize", "--design", design_file, "--config", config,

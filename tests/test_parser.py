@@ -11,8 +11,12 @@ import pytest
 
 from rtlopt.backend import BackendConfig, GoldenSec, synthesize
 from rtlopt.dsl import (
+    Assign,
     CompiledDesign,
     Expr,
+    Net,
+    Port,
+    RtlDesign,
     RtlSemanticError,
     RtlSyntaxError,
     parse,
@@ -22,6 +26,7 @@ from rtlopt.dsl import (
     topo_order,
 )
 from rtlopt.dsl.ast import _INTERNED
+from rtlopt.dsl.parser import _DESIGNS
 from rtlopt.timing import diagnose, select_critical_paths
 
 
@@ -216,6 +221,82 @@ def test_intern_table_forgets_dropped_designs():
     gc.collect()
     assert all(ref() is None for ref in nodes)
     assert len(_INTERNED) == before
+
+
+def test_design_table_returns_the_live_design_and_forgets_dropped_ones():
+    gc.collect()
+    before = len(_DESIGNS)
+    source = ("module kept(input [5:0] dt_a, output [5:0] dt_y);\n"
+              "  assign dt_y = (dt_a ^ 6'd45);\nendmodule\n")
+    design = parse(source, "kept.rtl")
+    assert parse(source, "kept.rtl") is design
+    assert parse(print_design(design), "kept.rtl") is design  # canonical text
+    assert parse(source, "other.rtl") is not design
+    assert len(_DESIGNS) == before + 1
+    del design
+    gc.collect()
+    assert (source, "kept.rtl") not in _DESIGNS
+    assert len(_DESIGNS) == before
+
+
+def _statements(design):
+    """Every statement with its nodes (compared by identity) and locations."""
+    return ([(a.target, a.expr, a.loc, a.locs) for a in design.assigns],
+            [(r.name, r.width, r.next, r.loc, r.locs) for r in design.registers])
+
+
+def _same_as_text(printed):
+    """The design of printer output, checked against the design of its plain
+    text (another filename, so the design table cannot answer)."""
+    fast = parse(printed, "printed.rtl")
+    slow = parse(str(printed), "text.rtl")
+    assert (fast.name, fast.ports, fast.nets) == (slow.name, slow.ports, slow.nets)
+    assert _statements(fast) == _statements(slow)
+    assert fast.source == slow.source and type(fast.source) is str
+    return fast
+
+
+_A4, _B1 = Expr("var", 4, name="a"), Expr("var", 1, name="b")
+_T, _U = Expr("var", 4, name="t"), Expr("var", 4, name="u")
+
+
+def _draft(*assigns, nets=()):
+    """A design built in memory, as rewrites build them: nothing checked yet."""
+    ports = (Port("a", "input", 4), Port("b", "input", 1), Port("y", "output", 4))
+    return RtlDesign("m", "", ports, tuple(Net(n, 4) for n in nets), (), assigns)
+
+
+@pytest.mark.parametrize("draft,message,line,col", [
+    (_draft(Assign("y", Expr("add", 4, (_A4, _B1)))),
+     "operands of add have mismatched widths 4 and 1", 2, 17),
+    (_draft(Assign("y", Expr("xor", 4, (_A4, Expr("var", 4, name="nope"))))),
+     "undeclared identifier 'nope'", 2, 19),
+    (_draft(Assign("y", _A4), Assign("y", Expr("not", 4, (_A4,)))),
+     "multiple drivers for 'y'", 3, 3),
+    (_draft(Assign("y", _T), Assign("t", Expr("and", 4, (_U, _A4))),
+            Assign("u", Expr("or", 4, (_T, _A4))), nets=("t", "u")),
+     "combinational cycle through t -> u -> t", 5, 3),
+], ids=["width mismatch", "undeclared variable", "double driver", "cycle"])
+def test_ill_formed_drafts_raise_the_errors_of_their_text(draft, message, line, col):
+    printed = print_design(draft)
+    for source in (printed, str(printed)):
+        with pytest.raises(RtlSemanticError) as e:
+            parse(source)
+        assert (e.value.message, e.value.line, e.value.col) == (message, line, col)
+
+
+def test_printer_output_is_parsed_as_its_text():
+    """Text states no node's width, so neither does the printer's draft: a
+    node whose recorded width breaks its rule comes back as the text says,
+    and a constant too wide for its width fails as its text does."""
+    printed = print_design(_draft(Assign("y", Expr("add", 3, (_A4, _A4)))))
+    assert _same_as_text(printed).assigns[0].expr is Expr("add", 4, (_A4, _A4))
+    printed = print_design(_draft(Assign("y", Expr("const", 4, value=16))))
+    for source in (printed, str(printed)):
+        with pytest.raises(RtlSyntaxError) as e:
+            parse(source)
+        assert (e.value.message, e.value.line, e.value.col) == (
+            "constant value 16 does not fit in 4 bits", 2, 14)
 
 
 _SHARING = """\
@@ -460,16 +541,24 @@ def _best_seconds(fn, repeat=3):
 
 @pytest.mark.parametrize("shape", list(_DEEP_AND_WIDE))
 def test_deep_and_wide_inputs_parse_in_linear_time(shape):
-    """Each shape parses in linear time, then goes through every layer of
-    the loop, all without recursing per level or per wire."""
+    """Each shape parses in linear time, as text and as printer output, then
+    goes through every layer of the loop, all without recursing per level
+    or per wire."""
     build, n, check = _DEEP_AND_WIDE[shape]
     small, large = build(n // 4), build(n)
     with _recursion_headroom():
         design = parse(large)
         assert check(design, n)
         _through_every_layer(design)
+        assert check(_same_as_text(print_design(design)), n)
+        del design  # while it lives, parsing its text again returns it
         quarter = _best_seconds(lambda: parse(small))
         full = _best_seconds(lambda: parse(large))
+        # Printer output, under a filename no live design has.
+        designs = parse(small), parse(large)
+        printed = [_best_seconds(lambda: parse(print_design(d), "printed.rtl"))
+                   for d in designs]
     # Four times the input takes about four times as long when parsing is
     # linear, and sixteen times when it is quadratic.
     assert full < 10 * quarter, (full, quarter)
+    assert printed[1] < 10 * printed[0], printed

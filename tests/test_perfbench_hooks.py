@@ -36,10 +36,11 @@ def test_install_then_remove_restores_every_patched_name():
 
 
 def test_traced_run_records_trajectory_layers(tmp_path):
-    """Every trajectory method has spans, and SEC splits into one golden
-    simulation, candidate simulations and one check per evaluated candidate.
-    The registered chain is never proved by normal form, so each check
-    simulates."""
+    """Every trajectory method has spans, parsing and printing have spans
+    (rewrites still print and parse each candidate, and the loop parses each
+    promoted one), and SEC splits into one golden simulation, candidate
+    simulations and one check per evaluated candidate. The registered chain
+    is never proved by normal form, so each check simulates."""
     design = parse(CHAIN_ADDER_8_REG, "chain.rtl")
     tracer = Tracer({id(design)})
     tracer.install()
@@ -52,6 +53,8 @@ def test_traced_run_records_trajectory_layers(tmp_path):
     for method in ("begin_iteration", "record_candidate", "finalize_iteration",
                    "persist", "save_design"):
         assert layers[f"trajectory.{method}"]["calls"] > 0, method
+    for layer in ("dsl.parse", "dsl.print"):
+        assert layers[layer]["calls"] > 0, layer
     with open(os.path.join(result.run_dir, "state.json")) as fh:
         state = json.load(fh)
     evaluated = sum(c["status"] != "skipped"

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import numpy as np
 from hypothesis import assume, given, settings
 
+from corpus import CHAIN_ADDER_8, CHAIN_ADDER_8_REG, REWRITE_CORPUS
 from rtlopt.backend import (
     SEC_EXHAUSTIVE,
     SEC_SYMBOLIC,
@@ -23,6 +24,7 @@ from rtlopt.dsl import (
     simulate,
     uint_dtype,
 )
+from rtlopt.rewrites import STRATEGY_FUNCTIONS, NotApplicable, apply_strategy
 from rtlopt.scoring import group_advantage
 
 _VARS = ("a", "b", "c")
@@ -171,6 +173,33 @@ def test_locations_with_comments_tabs_and_crlf():
     (q,) = design.registers
     assert (q.loc, q.locs[-1], q.locs[-2]) == ((10, 3), (10, 10), (10, 12))
     assert q.next.args[1].value == 255
+
+
+_CATALOG_PARENTS = st.one_of(
+    st.sampled_from([*REWRITE_CORPUS, CHAIN_ADDER_8, CHAIN_ADDER_8_REG]).map(parse),
+    _designs.map(lambda case: _design(*case)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CATALOG_PARENTS, st.sampled_from(list(STRATEGY_FUNCTIONS)),
+       st.one_of(st.none(), st.integers(1, 8).map(lambda n: (n, n))))
+def test_printed_catalog_output_elaborates_as_its_text(parent, strategy, region):
+    """Printer output is elaborated from the draft it carries, not from its
+    text; over the rewrite catalog that gives the very nodes, statement
+    locations and source that parsing the plain text gives. The filenames
+    differ, so the design table cannot answer either call."""
+    try:
+        child = apply_strategy(parent, strategy, region)
+    except NotApplicable:
+        child = parent
+    printed = print_design(child)
+    fast = parse(printed, "printed.rtl")
+    slow = parse(str(printed), "text.rtl")
+    assert (fast.name, fast.ports, fast.nets) == (slow.name, slow.ports, slow.nets)
+    for mine, theirs in ((fast.assigns, slow.assigns), (fast.registers, slow.registers)):
+        assert [(s, s.loc, s.locs) for s in mine] == [(s, s.loc, s.locs) for s in theirs]
+    assert fast.source == slow.source == printed
+    _assert_locs_at_defining_tokens(fast, printed)
 
 
 @settings(max_examples=200, deadline=None)

@@ -13,6 +13,7 @@ from rtlopt.backend import (
 )
 from rtlopt.dsl import parse, print_design
 from rtlopt.rewrites import (
+    REGIONAL_STRATEGIES,
     NotApplicable,
     STRATEGY_FUNCTIONS,
     apply_strategy,
@@ -126,6 +127,31 @@ def test_apply_strategy_region_scoped():
     assert child is not None
     with pytest.raises(NotApplicable):
         apply_strategy(parent, "constant-fold")
+
+
+def test_only_regional_strategies_read_the_region():
+    """A region that holds no statement stops every regional strategy and
+    changes nothing for the others, so the proposer widens only the
+    regional ones."""
+    def attempt(parent, strategy, region):
+        try:
+            return apply_strategy(parent, strategy, region=region)
+        except NotApplicable:
+            return None
+
+    applied = set()
+    for source in REWRITE_CORPUS:
+        parent = parse(source)
+        for strategy in STRATEGY_FUNCTIONS:
+            outside = attempt(parent, strategy, (0, 0))
+            whole = attempt(parent, strategy, None)
+            if strategy in REGIONAL_STRATEGIES:
+                assert outside is None, (source, strategy)
+            else:
+                assert outside is whole, (source, strategy)
+            if whole is not None:
+                applied.add(strategy)
+    assert applied == set(STRATEGY_FUNCTIONS)
 
 
 def test_apply_strategy_unknown_name():

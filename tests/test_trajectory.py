@@ -130,23 +130,41 @@ def test_store_validation_errors(tmp_path):
         store.finalize_iteration(it2, GroupStats(0, 0, ()), None)  # short group
 
 
+def test_iteration_is_finalized_once(tmp_path):
+    """A finalized iteration's encoding is kept, so finalizing it again (which
+    could change it under its kept piece) is an error."""
+    store = TrajectoryStore(str(tmp_path / "r"),
+                            RunState(run_id="r", design_name="d", config={}))
+    it = store.begin_iteration("p", 1, [])
+    store.record_candidate(it, _cand("c0", -0.2))
+    store.finalize_iteration(it, group_advantage([-0.2]), "c0")
+    with pytest.raises(TrajectoryError, match="already finalized"):
+        store.finalize_iteration(it, GroupStats(0, 0, ()), None)
+    assert it.selected == "c0"
+    open_it = store.begin_iteration("p", 1, [DIAGNOSIS])  # not finalized: encoded per write
+    store.persist()
+    with open(store.state_path) as fh:
+        assert fh.read() == canonical_json(store.state.to_dict())
+    store.record_candidate(open_it, _cand("c0", -0.1))
+    store.persist()
+    with open(store.state_path) as fh:
+        assert fh.read() == canonical_json(store.state.to_dict())
+
+
 def test_run_writes_state_once_per_finalized_iteration(tmp_path, monkeypatch):
+    """Every write, the run-end one too, is the whole state's canonical JSON,
+    though finalized iterations are encoded only once."""
     iterations = 3
     writes = []  # (iterations recorded, status) at each state.json write
     persist = TrajectoryStore._persist_locked
-    finalize = TrajectoryStore.finalize_iteration
 
     def counted(store):
         persist(store)
         writes.append((len(store.state.iterations), store.state.status))
-
-    def checked(store, *args):
-        finalize(store, *args)
         with open(store.state_path) as fh:
             assert fh.read() == canonical_json(store.state.to_dict())
 
     monkeypatch.setattr(TrajectoryStore, "_persist_locked", counted)
-    monkeypatch.setattr(TrajectoryStore, "finalize_iteration", checked)
     run(parse(CHAIN_ADDER_8, "chain.rtl"), RunConfig(iterations=iterations),
         str(tmp_path))
     assert len(writes) == iterations + 2
