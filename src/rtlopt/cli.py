@@ -102,8 +102,7 @@ def cmd_optimize(args) -> int:
         print(f"error: baseline evaluation failed: {exc}", file=sys.stderr)
         return EXIT_BASELINE
 
-    with open(os.path.join(result.run_dir, "state.json")) as fh:
-        state = RunState.from_dict(json.load(fh))
+    state = _load_state(result.run_dir)
     baseline = be.PpaMetrics.from_dict(state.baseline)
     # A rate over no evaluated candidate is not 0; result.json still says 0.0.
     pass_rate = (f"{result.sec_pass_rate:.2f}" if running_best(state)[-1].evaluated

@@ -13,7 +13,7 @@ from .ast import (
     RtlSyntaxError,
     reference_counts,
 )
-from .normal import output_forms
+from .normal import output_forms, simplify
 from .parser import parse, topo_order
 from .printer import print_design, print_expr
 from .simulate import CompiledDesign, eval_expr, simulate, uint_dtype
@@ -22,5 +22,5 @@ __all__ = [
     "Assign", "CompiledDesign", "Expr", "Net", "Port", "Register",
     "RtlDesign", "RtlError", "RtlSemanticError", "RtlSyntaxError",
     "eval_expr", "output_forms", "parse", "print_design", "print_expr",
-    "reference_counts", "simulate", "topo_order", "uint_dtype",
+    "reference_counts", "simplify", "simulate", "topo_order", "uint_dtype",
 ]

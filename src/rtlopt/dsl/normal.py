@@ -12,8 +12,11 @@ prove two designs equivalent; unequal forms prove nothing.
   operands. Operands are sorted by ``id``: stable while the forms live,
   and forms are only compared with each other.
 * ``eq`` operands are sorted too; ``sub`` and ``lt`` keep their order.
-* Nodes with constant operands only fold through :func:`eval_node`, and a
-  mux with a constant select is its chosen branch.
+* Every other node is reduced by :func:`simplify`, the folding rules that
+  ``constant_fold`` applies too: a mux with a constant select is its
+  chosen branch, constant operands evaluate through :func:`eval_node`, and
+  ``x - 0`` is ``x``. Chains and ``simplify`` share one definition of the
+  identity and absorbing constants.
 
 Normal forms in the style of Filliâtre & Conchon, "Type-safe modular
 hash-consing" (ML Workshop 2006).
@@ -40,20 +43,59 @@ class _Chain(list):
     __slots__ = ("kind", "width")
 
 
+def _identity(kind: str, width: int) -> int:
+    """The constant a chain of ``kind`` ignores: all ones for ``and``, else 0."""
+    return (1 << width) - 1 if kind == "and" else 0
+
+
+def _absorbing(kind: str, width: int) -> int | None:
+    """The constant that is a chain's result: 0 for ``and``, all ones for ``or``."""
+    return {"and": 0, "or": (1 << width) - 1}.get(kind)
+
+
+def simplify(node: Expr, args) -> Expr | None:
+    """What ``node`` applied to ``args`` reduces to by the first folding rule
+    that matches, or None. ``node`` gives the kind, width and parameters;
+    ``args`` are its operands, or their forms. Each rule keeps the value
+    under every input:
+
+    * a mux with a constant select is its chosen branch;
+    * a node whose operands are all constants is its value;
+    * in an ``and``/``or``/``xor``/``add``, an identity constant operand
+      leaves the other operand, and an absorbing one is the result;
+    * ``x - 0`` is ``x`` (``0 - x`` is not).
+    """
+    kind, width = node.kind, node.width
+    if kind == "mux" and args[0].kind == "const":
+        return args[1] if args[0].value else args[2]
+    if args and all(a.kind == "const" for a in args):
+        return Expr("const", width, value=eval_node(node, [a.value for a in args]))
+    if kind in _CHAINS:
+        for x, c in (args, reversed(args)):
+            if c.kind == "const":
+                if c.value == _identity(kind, width):
+                    return x
+                if c.value == _absorbing(kind, width):
+                    return c
+    elif kind == "sub" and args[1].kind == "const" and args[1].value == 0:
+        return args[0]
+    return None
+
+
 def _close(value) -> Expr:
     """The form of a fold value; a chain's is built here."""
     if type(value) is not _Chain:
         return value
     kind, width = value.kind, value.width
     mask = (1 << width) - 1
-    identity = mask if kind == "and" else 0
+    identity = _identity(kind, width)
     constant, operands = identity, []
     for operand in value:
         if operand.kind == "const":
             constant = _CHAINS[kind](constant, operand.value) & mask
         else:
             operands.append(operand)
-    if (kind, constant) in (("and", 0), ("or", mask)):  # absorbing
+    if constant == _absorbing(kind, width):
         return Expr("const", width, value=constant)
     if kind in ("and", "or"):
         operands = list(set(operands))
@@ -87,10 +129,9 @@ def output_forms(design: RtlDesign) -> tuple[Expr, ...]:
                     chain += arg
             return chain
         forms = [_close(a) for a in args]
-        if kind == "mux" and forms[0].kind == "const":
-            return forms[1] if forms[0].value else forms[2]
-        if all(f.kind == "const" for f in forms):
-            return Expr("const", node.width, value=eval_node(node, [f.value for f in forms]))
+        folded = simplify(node, forms)
+        if folded is not None:
+            return folded
         if kind == "eq":
             forms.sort(key=id)
         return Expr(kind, node.width, tuple(forms), amount=node.amount, msb=node.msb,

@@ -90,11 +90,9 @@ class LlmClient:
         if design.port_signature() != parent.port_signature():
             raise ValueError("rewritten module changes the port interface")
         # The canonical text is what gets stored, synthesized and diagnosed,
-        # so line regions found on a promoted reply match its stored lines.
-        canonical = print_design(design)
-        if design.source == canonical:
-            return design
-        return parse(canonical, filename=parent.filename)
+        # so line regions found on a promoted reply match its stored lines. A
+        # reply that already was canonical parses back to the same design.
+        return parse(print_design(design), filename=parent.filename)
 
     def propose(self, parent: RtlDesign, diagnosis: BottleneckDiagnosis | None,
                 library: SkillLibrary) -> Proposal | None:

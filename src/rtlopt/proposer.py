@@ -3,8 +3,11 @@
 A group of N proposals mixes exploitation (skill-guided transformations
 matched to diagnosed patterns, in library rank order) with exploration
 (catalog strategies not yet proven on the pattern, or LLM-authored
-rewrites when an endpoint is configured). Fully deterministic without an
-LLM; never emits two byte-identical candidates.
+rewrites when an endpoint is configured). Both try a strategy the same way:
+at most once per (pattern, strategy), with one ``apply_strategy`` call that
+is handed the diagnosis's line region, where the catalog looks for a site
+first. Fully deterministic without an LLM; never emits two byte-identical
+candidates.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 from .dsl import RtlDesign, print_design
 from .records import Settings
-from .rewrites import REGIONAL_STRATEGIES, STRATEGY_FUNCTIONS, NotApplicable, apply_strategy
+from .rewrites import STRATEGY_FUNCTIONS, NotApplicable, apply_strategy
 from .skills import SkillLibrary, match
 from .timing import BottleneckDiagnosis
 
@@ -68,20 +71,6 @@ def _region_of(diagnosis: BottleneckDiagnosis | None):
     return (r.start_line, r.end_line)
 
 
-def _try_strategy(parent: RtlDesign, strategy: str,
-                  diagnosis: BottleneckDiagnosis | None) -> RtlDesign | None:
-    region = _region_of(diagnosis)
-    try:
-        return apply_strategy(parent, strategy, region)
-    except NotApplicable:
-        if region is None or strategy not in REGIONAL_STRATEGIES:
-            return None
-    try:
-        return apply_strategy(parent, strategy, None)  # widen to whole design
-    except NotApplicable:
-        return None
-
-
 def propose_group(parent: RtlDesign, diagnoses: list[BottleneckDiagnosis],
                   library: SkillLibrary, config: ProposerConfig,
                   llm_client=None) -> list[Proposal]:
@@ -96,14 +85,26 @@ def propose_group(parent: RtlDesign, diagnoses: list[BottleneckDiagnosis],
     seen_sources = {print_design(parent)}
     tried: set[tuple[str | None, str]] = set()  # (pattern, strategy)
 
-    def emit(design: RtlDesign | None, provenance: str, strategy, diagnosis,
+    def emit(design: RtlDesign, provenance: str, strategy, diagnosis,
              skill_id=None, rationale="") -> bool:
-        if design is None or design.source in seen_sources:
+        if design.source in seen_sources:
             return False
         seen_sources.add(design.source)
         proposals.append(Proposal(design, provenance, strategy, diagnosis,
                                   skill_id=skill_id, rationale=rationale))
         return True
+
+    def attempt(strategy: str, diagnosis, provenance: str, skill_id=None,
+                rationale="") -> bool:
+        key = (diagnosis.pattern if diagnosis else None, strategy)
+        if key in tried:
+            return False
+        tried.add(key)
+        try:
+            design = apply_strategy(parent, strategy, _region_of(diagnosis))
+        except NotApplicable:
+            return False
+        return emit(design, provenance, strategy, diagnosis, skill_id, rationale)
 
     diag_list = list(diagnoses) if diagnoses else [None]
 
@@ -119,14 +120,8 @@ def propose_group(parent: RtlDesign, diagnoses: list[BottleneckDiagnosis],
             cursor += 1
             while queue:
                 skill, diagnosis = queue.pop(0)
-                key = (diagnosis.pattern, skill.strategy)
-                if key in tried:
-                    continue
-                tried.add(key)
-                design = _try_strategy(parent, skill.strategy, diagnosis)
-                if emit(design, PROVENANCE_SKILL, skill.strategy, diagnosis,
-                        skill_id=skill.skill_id,
-                        rationale=f"library {skill.tier}-tier match for {diagnosis.pattern}"):
+                if attempt(skill.strategy, diagnosis, PROVENANCE_SKILL, skill.skill_id,
+                           f"library {skill.tier}-tier match for {diagnosis.pattern}"):
                     break
             if not any(queues):
                 break
@@ -136,25 +131,15 @@ def propose_group(parent: RtlDesign, diagnoses: list[BottleneckDiagnosis],
     while len(proposals) < n:
         diagnosis = diag_list[explore_cursor % len(diag_list)]
         explore_cursor += 1
-        pattern = diagnosis.pattern if diagnosis else None
-        progressed = False
         if llm_client is not None:
             proposal = llm_client.propose(parent, diagnosis, library)
             if proposal is not None and emit(proposal.design, PROVENANCE_LLM,
                                              proposal.strategy, diagnosis,
                                              rationale=proposal.rationale):
                 continue
-        for strategy in STRATEGY_FUNCTIONS:
-            key = (pattern, strategy)
-            if key in tried:
-                continue
-            tried.add(key)
-            design = _try_strategy(parent, strategy, diagnosis)
-            if emit(design, PROVENANCE_RULE, strategy, diagnosis,
-                    rationale=f"exploratory {strategy}"):
-                progressed = True
-                break
-        if not progressed:
+        if not any(attempt(strategy, diagnosis, PROVENANCE_RULE,
+                           rationale=f"exploratory {strategy}")
+                   for strategy in STRATEGY_FUNCTIONS):
             # Exhausted: fill the remaining slots with explicit no-op markers.
             while len(proposals) < n:
                 proposals.append(Proposal(None, "skipped", None, diagnosis,

@@ -1,10 +1,17 @@
 """Rule-based, equivalence-preserving RTL transformations.
 
+A strategy that acts at one site takes the first it finds, looking first in
+the statements of the region that critical-path analysis diagnosed and then
+in the rest, each group in design order. The design-wide strategies (common
+subexpressions, replication, register duplication, constant folding) take
+no region, and constant folding applies the normal form's rules
+(:func:`~rtlopt.dsl.simplify`).
+
 Each strategy edits the design AST and the result is printed and parsed
 back. The printed text carries its located draft, so parsing it skips the
 tokenizer but still runs every elaboration check, and a candidate's
-``source`` is its canonical text. Subexpressions are found and
-replaced by identity, which is value equality for hash-consed ``Expr``s. The
+``source`` is its canonical text. Subexpressions are found and replaced by
+identity, which is value equality for hash-consed ``Expr``s. The
 transformations are intended to be sequentially equivalent to their
 parent; the evaluation backend still verifies every candidate (the test
 suite proves the catalog against the exhaustive equivalence oracle).
@@ -15,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import replace
+from functools import reduce
 from operator import is_not
 
 from .dsl import (
@@ -24,18 +32,18 @@ from .dsl import (
     Net,
     Register,
     RtlDesign,
-    eval_expr,
     parse,
     print_design,
     print_expr,
     reference_counts,
+    simplify,
 )
 
 MIN_REPLICATION_FANOUT = 2
 
 
 class NotApplicable(Exception):
-    """The design (or region) lacks the structure this strategy needs."""
+    """The design lacks the structure this strategy needs."""
 
 
 def _rebuild(design: RtlDesign, *, nets=None, registers=None, assigns=None) -> RtlDesign:
@@ -60,20 +68,14 @@ def _fresh_name(design: RtlDesign, base: str) -> str:
     raise NotApplicable(f"no free name for {base}")
 
 
-def _in_region(line: int, region: tuple[int, int] | None) -> bool:
-    return region is None or region[0] <= line <= region[1]
-
-
 def _statements(design: RtlDesign, region: tuple[int, int] | None):
-    """(kind, index, expr) for statements whose line falls in region."""
-    out = []
-    for i, a in enumerate(design.assigns):
-        if _in_region(a.loc[0], region):
-            out.append(("assign", i, a.expr))
-    for i, r in enumerate(design.registers):
-        if _in_region(r.loc[0], region):
-            out.append(("reg", i, r.next))
-    return out
+    """(kind, index, expr) for every statement, those whose first line lies in
+    the diagnosed ``region`` first; each group keeps design order."""
+    statements = [(("assign", i, a.expr), a.loc[0]) for i, a in enumerate(design.assigns)]
+    statements += [(("reg", i, r.next), r.loc[0]) for i, r in enumerate(design.registers)]
+    if region is not None:
+        statements.sort(key=lambda s: not region[0] <= s[1] <= region[1])
+    return [statement for statement, _ in statements]
 
 
 def _map_statements(design: RtlDesign, fn, statement: tuple[str, int] | None = None):
@@ -130,17 +132,18 @@ def _flatten_chain(expr: Expr, op: str) -> list[Expr]:
     return expr.fold(lambda node, parts: parts[0] + parts[1] if node.kind == op else [node])
 
 
-def _balanced(operands: list[Expr], op: str, width: int) -> Expr:
-    if len(operands) == 1:
-        return operands[0]
-    mid = len(operands) // 2
-    left = _balanced(operands[:mid], op, width)
-    right = _balanced(operands[mid:], op, width)
-    return Expr(op, width, args=(left, right))
+def _balanced(items: list, leaf, join):
+    """A balanced binary tree over ``items``: ``leaf(item)`` for one item, else
+    ``join(left_items, left_tree, right_tree)`` over the two halves."""
+    if len(items) == 1:
+        return leaf(items[0])
+    mid = len(items) // 2
+    return join(items[:mid], _balanced(items[:mid], leaf, join),
+                _balanced(items[mid:], leaf, join))
 
 
 def tree_rebalance(design: RtlDesign, region=None) -> RtlDesign:
-    """Reassociate the first skewed chain of an associative op found in region."""
+    """Reassociate the first skewed chain of an associative op."""
     for kind, index, root in _statements(design, region):
         for node in root.walk():
             if node.kind not in ASSOCIATIVE_OPS:
@@ -148,10 +151,11 @@ def tree_rebalance(design: RtlDesign, region=None) -> RtlDesign:
             operands = _flatten_chain(node, node.kind)
             if len(operands) < 3:
                 continue
-            balanced = _balanced(operands, node.kind, node.width)
+            balanced = _balanced(operands, lambda operand: operand,
+                                 lambda _, left, right: Expr(node.kind, node.width, (left, right)))
             if balanced is not node:
                 return _replace_in(design, (kind, index), node, balanced)
-    raise NotApplicable("no reassociable operator chain in region")
+    raise NotApplicable("no reassociable operator chain")
 
 
 def common_subexpression_extraction(design: RtlDesign, region=None) -> RtlDesign:
@@ -171,7 +175,7 @@ def condition_precompute(design: RtlDesign, region=None) -> RtlDesign:
         for node in root.walk():
             if node.kind == "mux" and node.args[0].kind not in ("var", "const"):
                 return _hoist(design, node.args[0], "cond")
-    raise NotApplicable("no mux with a computed condition in region")
+    raise NotApplicable("no mux with a computed condition")
 
 
 def _mux_chain(expr: Expr) -> tuple[list[tuple[Expr, Expr]], Expr]:
@@ -205,26 +209,14 @@ def _one_hot_chain(arms: list[tuple[Expr, Expr]]) -> bool:
     return True
 
 
-def _build_mux_tree(arms: list[tuple[Expr, Expr]], default: Expr, width: int) -> Expr:
-    if not arms:
-        return default
-    if len(arms) == 1:
-        cond, value = arms[0]
-        return Expr("mux", width, args=(cond, value, default))
-    mid = len(arms) // 2
-    left, right = arms[:mid], arms[mid:]
-    cond = left[0][0]
-    for extra, _ in left[1:]:
-        cond = Expr("or", 1, args=(cond, extra))
-    return Expr("mux", width, args=(
-        cond,
-        _build_mux_tree(left, default, width),
-        _build_mux_tree(right, default, width),
-    ))
+def _any_condition(arms: list[tuple[Expr, Expr]]) -> Expr:
+    """The arms' conditions or-ed left to right."""
+    return reduce(lambda cond, arm: Expr("or", 1, (cond, arm[0])), arms[1:], arms[0][0])
 
 
 def mux_restructure(design: RtlDesign, region=None) -> RtlDesign:
-    """Balance a linear priority mux chain over one-hot equality selects."""
+    """Balance a linear priority mux chain over one-hot equality selects: each
+    inner select is the or of its first half's conditions."""
     for kind, index, root in _statements(design, region):
         for node in root.walk():
             if node.kind != "mux":
@@ -232,10 +224,12 @@ def mux_restructure(design: RtlDesign, region=None) -> RtlDesign:
             arms, default = _mux_chain(node)
             if len(arms) < 3 or not _one_hot_chain(arms):
                 continue
-            tree = _build_mux_tree(arms, default, node.width)
+            tree = _balanced(
+                arms, lambda arm: Expr("mux", node.width, (*arm, default)),
+                lambda left, low, high: Expr("mux", node.width, (_any_condition(left), low, high)))
             if tree is not node:
                 return _replace_in(design, (kind, index), node, tree)
-    raise NotApplicable("no restructurable mux chain in region")
+    raise NotApplicable("no restructurable mux chain")
 
 
 def _split_sinks(design: RtlDesign, names, suffix: str, absent: str):
@@ -287,42 +281,10 @@ def selective_register_insertion(design: RtlDesign, region=None) -> RtlDesign:
     return _rebuild(design, registers=registers, assigns=assigns)
 
 
-def _all_ones(width: int) -> int:
-    return (1 << width) - 1
-
-
-def _fold_node(node: Expr) -> Expr | None:
-    args = node.args
-    if args and all(a.kind == "const" for a in args) and node.kind != "var":
-        value = eval_expr(node, {})
-        return Expr("const", node.width, value=value)
-    if node.kind in ("and", "or", "xor", "add", "sub"):
-        a, b = args
-        for x, y in ((a, b), (b, a)):
-            if y.kind != "const":
-                continue
-            v = y.value
-            if node.kind == "and" and v == 0:
-                return Expr("const", node.width, value=0)
-            if node.kind == "and" and v == _all_ones(node.width):
-                return x
-            if node.kind == "or" and v == 0:
-                return x
-            if node.kind == "or" and v == _all_ones(node.width):
-                return Expr("const", node.width, value=_all_ones(node.width))
-            if node.kind == "xor" and v == 0:
-                return x
-            if node.kind == "add" and v == 0:
-                return x
-            if node.kind == "sub" and v == 0 and y is b:
-                return x
-    if node.kind == "mux" and args[0].kind == "const":
-        return args[1] if args[0].value else args[2]
-    return None
-
-
 def constant_fold(design: RtlDesign, region=None) -> RtlDesign:
-    assigns, registers = _map_statements(design, lambda expr: _map_expr(expr, _fold_node))
+    """Fold every node bottom-up by the normal form's rules."""
+    assigns, registers = _map_statements(
+        design, lambda expr: _map_expr(expr, lambda node: simplify(node, node.args)))
     if assigns == list(design.assigns) and registers == list(design.registers):
         raise NotApplicable("nothing to fold")
     return _rebuild(design, registers=registers, assigns=assigns)
@@ -345,7 +307,7 @@ def decomposition(design: RtlDesign, region=None) -> RtlDesign:
             assigns.insert(index, Assign(name, arg))
             return _rebuild(design, nets=list(design.nets) + [Net(name, arg.width)],
                             assigns=assigns)
-    raise NotApplicable("no decomposable assign in region")
+    raise NotApplicable("no decomposable assign")
 
 
 # Declaration order is the proposer's exploration order.
@@ -361,15 +323,11 @@ STRATEGY_FUNCTIONS = {
 }
 
 
-# The strategies that act only on statements inside the region they are given;
-# the others act on the whole design whatever the region.
-REGIONAL_STRATEGIES = frozenset({
-    "condition-precompute", "tree-rebalance", "mux-restructure", "decomposition"})
-
-
 def apply_strategy(design: RtlDesign, strategy: str,
                    region: tuple[int, int] | None = None) -> RtlDesign:
-    """Apply one named strategy; raises NotApplicable when the structure is absent."""
+    """Apply one named strategy, preferring sites inside ``region`` (the
+    diagnosed lines); raises NotApplicable when the design lacks the
+    structure it needs."""
     try:
         fn = STRATEGY_FUNCTIONS[strategy]
     except KeyError:

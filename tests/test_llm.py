@@ -104,6 +104,16 @@ def test_accepted_reply_is_stored_as_canonical_text(stub_server):
         ["assign", "s"], ["assign", "y"]]
 
 
+def test_canonical_reply_is_the_live_design_of_its_text(stub_server):
+    """A reply that already is canonical text parses back, through the design
+    table, to the one live design of that text."""
+    canonical = str(print_design(parse(REBALANCED)))
+    live = parse(canonical)
+    _StubHandler.script = [_chat_body(f"```verilog\n{canonical}```")]
+    proposal = _client(stub_server).propose(parse(CHAIN_ADDER_8), None, SkillLibrary())
+    assert proposal.design is live
+
+
 def test_prose_then_valid_retries(stub_server):
     _StubHandler.script = [
         _chat_body("I think you should balance the adder tree."),

@@ -12,8 +12,7 @@ import pathlib
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "rtlopt"
 
 ALLOWED = {
-    "rewrites._balanced": "depth is the log of the operand count",
-    "rewrites._build_mux_tree": "depth is the log of the arm count",
+    "rewrites._balanced": "depth is the log of the operand or mux-arm count",
     "records._codec": "depth is the nesting depth of a record schema",
 }
 

@@ -1,5 +1,6 @@
 """Property-based checks over randomly generated expressions and groups."""
 
+import itertools
 import re
 from dataclasses import replace
 
@@ -18,9 +19,12 @@ from rtlopt.backend import (
 from rtlopt.dsl import (
     OP_SYMBOL,
     CompiledDesign,
+    Expr,
+    eval_expr,
     parse,
     print_design,
     print_expr,
+    simplify,
     simulate,
     uint_dtype,
 )
@@ -217,6 +221,53 @@ def test_batch_engine_matches_interpreter(case, drawn):
     got = batch[0]["y"]
     assert got.dtype == uint_dtype(width)
     assert [int(x) for x in got] == [simulate(design, t, 1)[0]["y"] for t in traces]
+
+
+def _rule_operands(width):
+    """Inputs ``a``/``b`` (``s`` at one bit), ``a ^ b``, or a constant of
+    ``width`` bits, with 0, 1 and all ones among the constants."""
+    var = (st.sampled_from(["a", "b"]).map(lambda n: Expr("var", width, name=n))
+           if width > 1 else st.just(Expr("var", 1, name="s")))
+    const = st.sampled_from(sorted({0, 1, (1 << width) - 1, width - 1})).map(
+        lambda v: Expr("const", width, value=v))
+    return st.one_of(var, const, st.just(Expr("xor", width, (Expr("var", width, name="a"),
+                                                             Expr("var", width, name="b")))))
+
+
+@st.composite
+def _rule_nodes(draw):
+    """One node of any operator over drawn operands, at widths 1 to 4."""
+    width = draw(st.integers(1, 4))
+    x, y = draw(_rule_operands(width)), draw(_rule_operands(width))
+    kind = draw(st.sampled_from(["and", "or", "xor", "add", "sub", "eq", "lt", "not",
+                                 "shl", "shr", "slice", "mux"]))
+    if kind in ("eq", "lt"):
+        return Expr(kind, 1, (x, y))
+    if kind == "not":
+        return Expr(kind, width, (x,))
+    if kind in ("shl", "shr"):
+        return Expr(kind, width, (x,), amount=draw(st.integers(0, width - 1)))
+    if kind == "slice":
+        lsb = draw(st.integers(0, width - 1))
+        msb = draw(st.integers(lsb, width - 1))
+        return Expr(kind, msb - lsb + 1, (x,), msb=msb, lsb=lsb)
+    if kind == "mux":
+        return Expr(kind, width, (draw(_rule_operands(1)), x, y))
+    return Expr(kind, width, (x, y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rule_nodes())
+def test_every_folding_rule_keeps_the_value(node):
+    """Whatever ``simplify`` reduces a node to (the rules both the normal form
+    and constant_fold use) has the node's value under every input."""
+    folded = simplify(node, node.args)
+    if folded is None:
+        return
+    width = node.args[0].width if node.kind != "mux" else node.args[1].width
+    for a, b, s in itertools.product(range(1 << width), range(1 << width), range(2)):
+        env = {"a": a, "b": b, "s": s}
+        assert eval_expr(folded, env) == eval_expr(node, env), (node, folded, env)
 
 
 _MUTANTS = {"and": "or", "or": "xor", "xor": "and", "add": "sub", "sub": "add",

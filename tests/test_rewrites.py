@@ -3,6 +3,7 @@
 import pytest
 
 from corpus import REWRITE_CORPUS
+from rtlopt import rewrites
 from rtlopt.backend import (
     SEC_EXHAUSTIVE,
     SEC_SYMBOLIC,
@@ -13,7 +14,6 @@ from rtlopt.backend import (
 )
 from rtlopt.dsl import parse, print_design
 from rtlopt.rewrites import (
-    REGIONAL_STRATEGIES,
     NotApplicable,
     STRATEGY_FUNCTIONS,
     apply_strategy,
@@ -114,6 +114,33 @@ def test_constant_fold_simplifies(bcfg):
     assert folded.assigns[0].expr.value == 0
 
 
+@pytest.mark.parametrize("expr,folded", [
+    # identity constants
+    ("a & 2'd3", "a"), ("a | 2'd0", "a"), ("2'd0 ^ a", "a"), ("a + 2'd0", "a"),
+    # absorbing constants
+    ("a & 2'd0", "2'd0"), ("2'd3 | a", "2'd3"),
+    # all-constant operands
+    ("2'd1 + 2'd3", "2'd0"), ("~2'd1", "2'd2"), ("2'd1 - 2'd2", "2'd3"),
+    ("(2'd1 == 2'd1) ? b : a", "b"),
+    # constant select
+    ("1'b1 ? a : b", "a"), ("1'b0 ? a : b", "b"),
+    # x - 0, and 0 - x left alone
+    ("a - 2'd0", "a"), ("2'd0 - a", None),
+    # bottom-up: a folded operand enables its parent's rule
+    ("((a ^ 2'd0) + (2'd1 - 2'd1)) & (s ? b : 2'd3)", "(a & (s ? b : 2'd3))"),
+])
+def test_constant_fold_rules_print_pinned_text(expr, folded):
+    """constant_fold applies the normal form's folding rules; the texts were
+    printed by the implementation that kept its own copy of them."""
+    parent = parse("module f(input [1:0] a, input [1:0] b, input s, output [1:0] y);\n"
+                   f"  assign y = {expr};\nendmodule\n")
+    if folded is None:
+        with pytest.raises(NotApplicable):
+            constant_fold(parent)
+    else:
+        assert print_design(constant_fold(parent)).splitlines()[1] == f"  assign y = {folded};"
+
+
 def test_decomposition_introduces_stage_wires(bcfg):
     parent = parse(REWRITE_CORPUS[0])
     child = decomposition(parent)
@@ -129,29 +156,66 @@ def test_apply_strategy_region_scoped():
         apply_strategy(parent, "constant-fold")
 
 
-def test_only_regional_strategies_read_the_region():
-    """A region that holds no statement stops every regional strategy and
-    changes nothing for the others, so the proposer widens only the
-    regional ones."""
-    def attempt(parent, strategy, region):
-        try:
-            return apply_strategy(parent, strategy, region=region)
-        except NotApplicable:
-            return None
+# Two sites per site-taking strategy on different lines, so the region
+# decides which one is taken.
+_TWO_SITES = """\
+module two(input [1:0] sel, input [1:0] a, input [1:0] b, input [1:0] c, input [1:0] d,
+           output [1:0] y1, output [1:0] y2, output [1:0] y3, output [1:0] y4);
+  assign y1 = ((a + b) + c) + d;
+  assign y2 = ((a ^ b) ^ c) ^ d;
+  assign y3 = (sel == 2'd0) ? a : ((sel == 2'd1) ? b : ((sel == 2'd2) ? c : d));
+  assign y4 = (a < b) ? ((sel == 2'd3) ? c : ((sel == 2'd2) ? d : ((sel == 2'd1) ? a : b))) : c;
+endmodule
+"""
 
-    applied = set()
-    for source in REWRITE_CORPUS:
+# The strategies that used to look only inside the region, and that the
+# proposer then retried on the whole design.
+_FORMERLY_REGIONAL = {"condition-precompute", "tree-rebalance", "mux-restructure",
+                      "decomposition"}
+
+
+def _region_filter(design, region):
+    """The former statement scan: only statements whose line lies in region."""
+    def inside(loc):
+        return region is None or region[0] <= loc[0] <= region[1]
+
+    return ([("assign", i, a.expr) for i, a in enumerate(design.assigns) if inside(a.loc)]
+            + [("reg", i, r.next) for i, r in enumerate(design.registers) if inside(r.loc)])
+
+
+def test_region_first_search_equals_filter_then_widen(monkeypatch):
+    """Searching the region's statements first and then the rest picks the
+    site that the former rule picked: look in the region only, and retry the
+    formerly regional strategies on the whole design. The result is the same
+    design object, for every corpus design, strategy and region."""
+    def reference(parent, strategy, region):
+        with monkeypatch.context() as patch:
+            patch.setattr(rewrites, "_statements", _region_filter)
+            for scope in ([region, None] if strategy in _FORMERLY_REGIONAL else [region]):
+                try:
+                    return apply_strategy(parent, strategy, region=scope)
+                except NotApplicable:
+                    pass
+        return None
+
+    applied, steered = set(), 0
+    for source in REWRITE_CORPUS + [_TWO_SITES]:
         parent = parse(source)
+        lines = len(source.splitlines())
         for strategy in STRATEGY_FUNCTIONS:
-            outside = attempt(parent, strategy, (0, 0))
-            whole = attempt(parent, strategy, None)
-            if strategy in REGIONAL_STRATEGIES:
-                assert outside is None, (source, strategy)
-            else:
-                assert outside is whole, (source, strategy)
+            whole = reference(parent, strategy, None)
+            for region in [None, (0, 0)] + [(n, n) for n in range(1, lines + 1)]:
+                expected = reference(parent, strategy, region)
+                try:
+                    got = apply_strategy(parent, strategy, region=region)
+                except NotApplicable:
+                    got = None
+                assert got is expected, (source, strategy, region)
+                steered += got is not whole
             if whole is not None:
                 applied.add(strategy)
     assert applied == set(STRATEGY_FUNCTIONS)
+    assert steered >= 4  # some regions pick a site other than the first in the design
 
 
 def test_apply_strategy_unknown_name():

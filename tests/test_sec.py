@@ -64,6 +64,16 @@ def test_normal_form_proves_register_free_equivalent_pairs(bcfg):
     assert modes == [SEC_SYMBOLIC] * 6 + [SEC_EXHAUSTIVE] * 2 + [SEC_SYMBOLIC] * 2
 
 
+def test_normal_form_drops_subtracted_zero(bcfg):
+    """``x - 0`` has ``x``'s form, so the pair is proved; ``0 - x`` is not."""
+    ports = "module m(input [3:0] a, output [3:0] y);"
+    plain = parse(f"{ports} assign y = a; endmodule")
+    assert output_forms(parse(f"{ports} assign y = a - 4'd0; endmodule")) == output_forms(plain)
+    assert check_equivalence(
+        plain, parse(f"{ports} assign y = a - 4'd0; endmodule"), bcfg).mode == SEC_SYMBOLIC
+    assert not GoldenSec(plain).proves(parse(f"{ports} assign y = 4'd0 - a; endmodule"))
+
+
 @pytest.mark.parametrize("n", [750, 3000])
 def test_flat_chain_form_is_built_once_per_chain(monkeypatch, n):
     """A flat n-term chain's form is built where the chain ends, not at every
