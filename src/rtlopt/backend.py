@@ -4,8 +4,9 @@ The builtin backend computes endpoint delays by longest-path traversal of
 the expression DAG with a fixed delay/area table, and checks sequential
 equivalence by comparing normal forms of register-free designs, then by
 exhaustive or seeded-random co-simulation from the zero state. The external
-backend shells out to a user-configured toolchain and extracts metrics with
-named regex patterns; it never interprets reports.
+backend runs a user-configured toolchain's synthesis and SEC commands through
+:func:`run_external` and extracts metrics with named regex patterns; it never
+interprets reports. An external config is checked when it is built.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import json
 import math
 import os
 import re
+import string
 import subprocess
 import tempfile
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,9 @@ SEC_BOUNDED = "bounded-sampled"
 SEC_EXTERNAL = "external"
 
 EXTERNAL_TIMEOUT_S = 3600.0
+# What an external flow reports, and what its templates may name.
+METRIC_KEYS = ("wns", "tns", "area")
+PLACEHOLDERS = ("design_dir", "top", "clock_ns")
 
 
 class BackendError(Exception):
@@ -137,6 +141,25 @@ class ExternalConfig(Settings):
     report_files: tuple = ()
     timeout_s: float = EXTERNAL_TIMEOUT_S
 
+    def __post_init__(self):
+        for key in METRIC_KEYS:
+            if key not in self.metric_patterns:
+                raise ValueError(f"external.metric_patterns has no pattern for {key!r}")
+            try:
+                groups = re.compile(self.metric_patterns[key]).groups
+            except re.error as exc:
+                raise ValueError(f"external.metric_patterns[{key!r}]: {exc}") from None
+            if groups < 1:
+                raise ValueError(f"external.metric_patterns[{key!r}] has no group")
+        for template in (self.synth_command_template, self.sec_command_template,
+                         *self.report_files):
+            names = {name for _, name, _, _ in string.Formatter().parse(template)}
+            unknown = sorted(names - {None, *PLACEHOLDERS})
+            if unknown:
+                raise ValueError(f"unknown placeholder {{{unknown[0]}}} in {template!r}; "
+                                 f"known: {', '.join(PLACEHOLDERS)}")
+            template.format(design_dir="", top="", clock_ns=1.0)  # fails as a run would
+
 
 @dataclass(frozen=True)
 class BackendConfig(Settings):
@@ -153,6 +176,8 @@ class BackendConfig(Settings):
             raise ValueError("clock_period must be > 0")
         if self.kind not in ("builtin", "external"):
             raise ValueError(f"unknown backend kind {self.kind!r}")
+        if self.kind == "external" and self.external is None:
+            raise ValueError("backend kind 'external' needs an 'external' section")
 
 
 # --- builtin static timing analysis ---------------------------------------
@@ -189,7 +214,7 @@ def _arrival(expr: Expr, locs: tuple[tuple[int, int], ...],
 
 def synthesize(design: RtlDesign, config: BackendConfig) -> tuple[PpaMetrics, TimingReport]:
     if config.kind == "external":
-        return ExternalBackend(config).synthesize(design)
+        return _external_synthesize(design, config)
     return _builtin_synthesize(design, config.clock_period)
 
 
@@ -419,121 +444,83 @@ def evaluate(design: RtlDesign, config: BackendConfig, sec: GoldenSec) -> EvalRe
     return EvalResult(metrics, verdict.passed, verdict.mode, report)
 
 
+# --- external toolchain ----------------------------------------------------
+
+
+def run_external(template: str, top: str, config: BackendConfig,
+                 design_files: dict[str, str]) -> tuple[subprocess.CompletedProcess, dict]:
+    """Run one toolchain command in a fresh directory holding ``design_files``,
+    under ``external.timeout_s`` (``subprocess.TimeoutExpired`` on expiry).
+
+    The directory's path, ``top`` and the clock period fill the placeholders.
+    Output and existing report files are decoded as UTF-8, an invalid byte
+    becoming a replacement character, and are not interpreted here. The
+    directory is removed before this returns or raises."""
+    ext = config.external
+    with tempfile.TemporaryDirectory(prefix="rtlopt-ext-") as design_dir:
+        for name, text in design_files.items():
+            with open(os.path.join(design_dir, name), "w") as fh:
+                fh.write(text)
+        values = {"design_dir": design_dir, "top": top, "clock_ns": config.clock_period}
+        proc = subprocess.run(template.format(**values), shell=True, cwd=design_dir,
+                              capture_output=True, encoding="utf-8", errors="replace",
+                              timeout=ext.timeout_s)
+        reports = {}
+        for rel in ext.report_files:
+            path = os.path.join(design_dir, rel.format(**values))
+            if os.path.exists(path):
+                with open(path, encoding="utf-8", errors="replace") as fh:
+                    reports[rel] = fh.read()
+    return proc, reports
+
+
+def _external_synthesize(design: RtlDesign,
+                         config: BackendConfig) -> tuple[PpaMetrics, TimingReport]:
+    """Run the synthesis command on ``{top}.rtl`` and extract the metrics."""
+    ext = config.external
+    try:
+        proc, reports = run_external(ext.synth_command_template, design.name, config,
+                                     {f"{design.name}.rtl": design.source})
+    except subprocess.TimeoutExpired:
+        raise BackendError(f"synthesis timed out after {ext.timeout_s:g} s") from None
+    if proc.returncode != 0:
+        tail = " ".join(proc.stderr[-500:].split())  # one line, as every error is
+        raise BackendError(f"synthesis exited {proc.returncode}: {tail}")
+    haystack = proc.stdout + "\n" + "\n".join(reports.values())
+    values = {}
+    for key in METRIC_KEYS:
+        m = re.search(ext.metric_patterns[key], haystack, re.MULTILINE)
+        if m is None:
+            raise BackendError(f"extraction pattern for {key!r} matched nothing")
+        try:
+            values[key] = float(m.group(1))
+        except ValueError:
+            raise BackendError(f"extraction pattern for {key!r} matched "
+                               f"{m.group(1)!r}, not a number") from None
+    metrics = PpaMetrics(**values)
+    # External reports are normalized to an endpoint-less report unless the
+    # flow populates the canonical JSON schema itself.
+    report_json = reports.get("timing_report.json")
+    if report_json is None:
+        return metrics, TimingReport(config.clock_period, ())
+    try:
+        return metrics, TimingReport.from_dict(json.loads(report_json))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise BackendError(
+            f"timing_report.json is not in the interchange schema: {exc!r}") from exc
+
+
 def _external_sec(golden: RtlDesign, candidate: RtlDesign,
                   config: BackendConfig) -> SecVerdict:
-    """Run the configured SEC command; pass iff it exits 0.
-
-    A timeout or nonzero exit is conservatively a failed check.
-    """
+    """Run the SEC command on ``golden.rtl`` and ``candidate.rtl``; pass iff it
+    exits 0, so a timeout or nonzero exit is conservatively a failed check."""
     ext = config.external
-    if ext is None or not ext.sec_command_template:
+    if not ext.sec_command_template:
         raise BackendError("external backend has no sec_command_template")
-    with tempfile.TemporaryDirectory(prefix="rtlopt-sec-") as design_dir:
-        with open(os.path.join(design_dir, "golden.rtl"), "w") as fh:
-            fh.write(golden.source)
-        with open(os.path.join(design_dir, "candidate.rtl"), "w") as fh:
-            fh.write(candidate.source)
-        try:
-            run = run_external(
-                ext.sec_command_template,
-                {"design_dir": design_dir, "top": golden.name,
-                 "clock_ns": config.clock_period},
-                workdir=design_dir, timeout_s=ext.timeout_s)
-        except subprocess.TimeoutExpired:
-            return SecVerdict(False, SEC_EXTERNAL)
-    return SecVerdict(run.exit_status == 0, SEC_EXTERNAL)
-
-
-# --- external command adapter ---------------------------------------------
-
-
-@dataclass
-class ExternalRun:
-    exit_status: int
-    stdout: str
-    stderr: str
-    reports: dict
-
-
-class MissingPlaceholder(BackendError):
-    pass
-
-
-def run_external(template: str, substitutions: dict, *, workdir: str | None = None,
-                 timeout_s: float = EXTERNAL_TIMEOUT_S,
-                 report_files: tuple = ()) -> ExternalRun:
-    """Substitute and execute a toolchain command in an isolated directory.
-
-    The command's outputs are captured verbatim; nothing here interprets
-    them. Unresolvable placeholders are a configuration error raised before
-    anything runs. Without a ``workdir`` the command runs in a temporary
-    directory that is removed once its report files are read.
-    """
     try:
-        command = template.format(**substitutions)
-    except KeyError as exc:
-        raise MissingPlaceholder(f"missing placeholder {exc.args[0]!r} in {template!r}") from exc
-
-    scratch = (nullcontext(workdir) if workdir is not None
-               else tempfile.TemporaryDirectory(prefix="rtlopt-ext-"))
-    with scratch as cwd:
-        proc = subprocess.run(
-            command, shell=True, cwd=cwd, capture_output=True, text=True,
-            timeout=timeout_s,
-        )
-        reports = {}
-        for rel in report_files:
-            path = os.path.join(cwd, rel.format(**substitutions))
-            if os.path.exists(path):
-                with open(path) as fh:
-                    reports[rel] = fh.read()
-    return ExternalRun(proc.returncode, proc.stdout, proc.stderr, reports)
-
-
-class ExternalBackend:
-    """Adapter for real synthesis/SEC flows driven by shell templates."""
-
-    def __init__(self, config: BackendConfig):
-        if config.external is None:
-            raise BackendError("external backend requires backend.external config")
-        self.config = config
-        self.ext = config.external
-
-    def _substitutions(self, design: RtlDesign, design_dir: str) -> dict:
-        return {"design_dir": design_dir, "top": design.name,
-                "clock_ns": self.config.clock_period}
-
-    def synthesize(self, design: RtlDesign) -> tuple[PpaMetrics, TimingReport]:
-        with tempfile.TemporaryDirectory(prefix="rtlopt-synth-") as design_dir:
-            with open(os.path.join(design_dir, f"{design.name}.rtl"), "w") as fh:
-                fh.write(design.source)
-            run = run_external(self.ext.synth_command_template,
-                              self._substitutions(design, design_dir),
-                              workdir=design_dir, timeout_s=self.ext.timeout_s,
-                              report_files=self.ext.report_files)
-        if run.exit_status != 0:
-            raise BackendError(
-                f"synthesis exited {run.exit_status}: {run.stderr[-500:]}")
-        haystack = run.stdout + "\n" + "\n".join(run.reports.values())
-        values = {}
-        for key in ("wns", "tns", "area"):
-            pattern = self.ext.metric_patterns.get(key)
-            if pattern is None:
-                raise BackendError(f"no extraction pattern configured for {key!r}")
-            m = re.search(pattern, haystack, re.MULTILINE)
-            if m is None:
-                raise BackendError(f"extraction pattern for {key!r} matched nothing")
-            values[key] = float(m.group(1))
-        metrics = PpaMetrics(values["wns"], values["tns"], values["area"])
-        # External reports are normalized to an endpoint-less report unless the
-        # flow populates the canonical JSON schema itself.
-        report_json = run.reports.get("timing_report.json")
-        if report_json is not None:
-            try:
-                report = TimingReport.from_dict(json.loads(report_json))
-            except (ValueError, KeyError, TypeError) as exc:
-                raise BackendError(
-                    f"timing_report.json is not in the interchange schema: {exc!r}") from exc
-        else:
-            report = TimingReport(self.config.clock_period, ())
-        return metrics, report
+        proc, _ = run_external(ext.sec_command_template, golden.name, config,
+                               {"golden.rtl": golden.source,
+                                "candidate.rtl": candidate.source})
+    except subprocess.TimeoutExpired:
+        return SecVerdict(False, SEC_EXTERNAL)
+    return SecVerdict(proc.returncode == 0, SEC_EXTERNAL)

@@ -6,6 +6,8 @@ evaluation setup so an empty config file is a valid run.
 
 Exit codes: 0 success, 1 configuration error, 2 baseline evaluation failure,
 3 internal error (an exception no command maps, reported on one stderr line).
+An external backend is checked when the config is loaded (exit 1); a tool
+that fails or times out during ``eval`` or a baseline evaluation exits 2.
 """
 
 from __future__ import annotations

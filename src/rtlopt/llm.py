@@ -31,6 +31,18 @@ SYSTEM_DIRECTIVE = (
 )
 
 
+def _reply_text(body) -> str:
+    """The string at ``choices[0].message.content``; ValueError for a body of
+    any other shape."""
+    try:
+        text = body["choices"][0]["message"]["content"]
+    except (KeyError, IndexError, TypeError):
+        raise ValueError("reply has no choices[0].message.content") from None
+    if not isinstance(text, str):
+        raise ValueError(f"reply content is {type(text).__name__}, not a string")
+    return text
+
+
 @dataclass
 class Transcript:
     request: dict
@@ -106,9 +118,9 @@ class LlmClient:
                 response = requests.post(url, json=payload, headers=self._headers(),
                                          timeout=self.settings.timeout_s)
                 response.raise_for_status()
-                text = response.json()["choices"][0]["message"]["content"]
+                text = _reply_text(response.json())
                 design = self._extract_module(text, parent)
-            except (requests.RequestException, ValueError, KeyError, RtlError) as exc:
+            except (requests.RequestException, ValueError, RtlError) as exc:
                 self._record(Transcript(payload, text, f"attempt {attempt}: {exc}"))
                 continue
             self._record(Transcript(payload, text, "accepted"))

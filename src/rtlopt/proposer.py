@@ -63,12 +63,10 @@ class Proposal:
 
 
 def _region_of(diagnosis: BottleneckDiagnosis | None):
+    # A heuristic-failed region spans every line, which orders sites as None does.
     if diagnosis is None:
         return None
-    r = diagnosis.rtl_region
-    if r.confidence == "heuristic-failed":
-        return None
-    return (r.start_line, r.end_line)
+    return (diagnosis.rtl_region.start_line, diagnosis.rtl_region.end_line)
 
 
 def propose_group(parent: RtlDesign, diagnoses: list[BottleneckDiagnosis],

@@ -19,6 +19,15 @@ def design_file(tmp_path):
     return str(path)
 
 
+PATTERNS = {"wns": r"wns (\S+)", "tns": r"tns (\S+)", "area": r"area (\S+)"}
+
+
+def _external(**external):
+    """A config payload for the external backend."""
+    return {"backend": {"kind": "external",
+                        "external": {"metric_patterns": PATTERNS, **external}}}
+
+
 def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -116,14 +125,58 @@ def test_optimize_unparseable_design_exit_1(tmp_path, capsys):
 
 
 def test_optimize_baseline_failure_exit_2(design_file, tmp_path, capsys):
-    config = _write(tmp_path, "ext.json", {
-        "backend": {"kind": "external",
-                    "external": {"synth_command_template": "false",
-                                 "metric_patterns": {}}}})
+    config = _write(tmp_path, "ext.json", _external(synth_command_template="false"))
     code = main(["optimize", "--design", design_file, "--config", config,
                  "--out", str(tmp_path / "runs")])
     assert code == 2
     assert "baseline" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "optimize"])
+@pytest.mark.parametrize("payload", [
+    {"backend": {"kind": "external"}},
+    {"backend": {"kind": "external", "external": {
+        "synth_command_template": "true", "metric_patterns": {"wns": "wns (\\S+)"}}}},
+    _external(synth_command_template="synth {nope}"),
+], ids=["no-external-section", "missing-pattern", "unknown-placeholder"])
+def test_external_misconfiguration_exit_1_at_load(design_file, tmp_path, capsys,
+                                                  command, payload):
+    config = _write(tmp_path, "ext.json", payload)
+    argv = [command, "--design", design_file, "--config", config]
+    if command == "optimize":
+        argv += ["--out", str(tmp_path / "runs")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config") and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
+def test_eval_synthesis_timeout_exit_2(design_file, tmp_path, capsys):
+    config = _write(tmp_path, "ext.json",
+                    _external(synth_command_template="sleep 5", timeout_s=0.2))
+    assert main(["eval", "--design", design_file, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: synthesis timed out after 0.2 s\n"
+
+
+def test_eval_tool_output_not_utf8_still_yields_metrics(design_file, tmp_path, capsys):
+    config = _write(tmp_path, "ext.json", _external(
+        synth_command_template="printf 'wns -0.05\\n\\377\\ntns -0.12\\n'; "
+                               "printf 'gate \\377\\narea 240\\n' > ppa.rpt",
+        report_files=["ppa.rpt"]))
+    assert main(["eval", "--design", design_file, "--config", config]) == 0
+    assert json.loads(capsys.readouterr().out) == {"wns": -0.05, "tns": -0.12,
+                                                   "area": 240.0}
+
+
+def test_eval_sec_timeout_is_a_failed_verdict(design_file, tmp_path, capsys):
+    config = _write(tmp_path, "ext.json", _external(
+        synth_command_template="echo 'wns -0.05 tns -0.12 area 240'",
+        sec_command_template="sleep 5", timeout_s=0.2))
+    assert main(["eval", "--design", design_file, "--golden", design_file,
+                 "--config", config]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["sec_pass"] is False and payload["sec_mode"] == "external"
 
 
 def test_eval_outputs_metrics_json(design_file, capsys):

@@ -1,23 +1,32 @@
-"""External command adapter: templating, extraction, SEC exit codes."""
+"""External toolchain: the command runner, load-time config checks,
+extraction, SEC exit codes and a closed loop through in-repo tools."""
 
 import json
+import shlex
+import subprocess
+import sys
 import tempfile
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from corpus import CHAIN_ADDER_8
+from fake_eda import PATTERNS as FAKE_EDA_PATTERNS
 from rtlopt.backend import (
+    SEC_EXTERNAL,
     BackendConfig,
     BackendError,
-    ExternalBackend,
     ExternalConfig,
-    MissingPlaceholder,
     check_equivalence,
     run_external,
     synthesize,
 )
 from rtlopt.dsl import parse
+from rtlopt.orchestrator import RunConfig, run
+from rtlopt.proposer import ProposerConfig
 from rtlopt.timing import Stage, TimingPath, TimingReport
+from rtlopt.trajectory import RunState
 
 PATTERNS = {"wns": r"wns\s+(-?\d+\.\d+)",
             "tns": r"tns\s+(-?\d+\.\d+)",
@@ -32,31 +41,67 @@ def _ext_config(synth="true", sec="", **kw):
                              metric_patterns=dict(PATTERNS), **kw))
 
 
-def test_run_external_substitutes_and_captures(tmp_path):
-    result = run_external("echo top={top} clk={clock_ns}",
-                          {"top": "chain", "clock_ns": 0.1, "design_dir": "x"},
-                          workdir=str(tmp_path))
-    assert result.exit_status == 0
-    assert "top=chain clk=0.1" in result.stdout
+def test_run_external_substitutes_and_captures():
+    proc, reports = run_external(
+        "echo top={top} clk={clock_ns}; cat {design_dir}/a.rtl; echo oops >&2",
+        "chain", _ext_config(), {"a.rtl": "module a\n"})
+    assert proc.returncode == 0
+    assert proc.stdout == "top=chain clk=0.1\nmodule a\n"
+    assert proc.stderr == "oops\n"
+    assert reports == {}
 
 
-def test_run_external_missing_placeholder_raises_before_exec():
-    with pytest.raises(MissingPlaceholder):
-        run_external("run --top {unknown_key}", {"top": "chain"})
+def test_run_external_collects_report_files():
+    config = _ext_config(report_files=("ppa.rpt", "{top}.rpt", "absent.rpt"))
+    _, reports = run_external("echo 'area 12.5' > ppa.rpt; echo 'tns 0.0' > {top}.rpt",
+                              "chain", config, {})
+    assert reports == {"ppa.rpt": "area 12.5\n", "{top}.rpt": "tns 0.0\n"}
 
 
-def test_run_external_collects_report_files(tmp_path):
-    result = run_external("echo 'area 12.5' > ppa.rpt", {"design_dir": "."},
-                          workdir=str(tmp_path), report_files=("ppa.rpt",))
-    assert result.reports["ppa.rpt"].strip() == "area 12.5"
-
-
-def test_run_external_removes_its_own_workdir(tmp_path, monkeypatch):
+def test_run_external_removes_its_directory(tmp_path, monkeypatch):
+    """After a normal run and after a timeout."""
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
-    result = run_external("echo 'area 12.5' > ppa.rpt", {},
-                          report_files=("ppa.rpt",))
-    assert result.reports["ppa.rpt"].strip() == "area 12.5"
-    assert list(tmp_path.glob("rtlopt-ext-*")) == []
+    files = {"chain.rtl": CHAIN_ADDER_8}
+    _, reports = run_external("echo done > out.rpt", "chain",
+                              _ext_config(report_files=("out.rpt",)), files)
+    assert reports == {"out.rpt": "done\n"}
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(subprocess.TimeoutExpired):
+        run_external("sleep 5", "chain", _ext_config(timeout_s=0.2), files)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("key", sorted(PATTERNS))
+def test_missing_metric_pattern_rejected_at_load(key):
+    patterns = {k: v for k, v in PATTERNS.items() if k != key}
+    with pytest.raises(ValueError, match=f"no pattern for '{key}'"):
+        ExternalConfig("true", metric_patterns=patterns)
+
+
+@pytest.mark.parametrize("pattern", [r"wns (", r"wns \S+"], ids=["invalid", "no-group"])
+def test_bad_metric_pattern_rejected_at_load(pattern):
+    with pytest.raises(ValueError, match="'wns'"):
+        ExternalConfig("true", metric_patterns={**PATTERNS, "wns": pattern})
+
+
+@pytest.mark.parametrize("field, value, problem", [
+    ("synth_command_template", "run --top {unknown_key}", "unknown placeholder"),
+    ("sec_command_template", "sec {design_dir} {}", "unknown placeholder"),
+    ("report_files", ("{top}.rpt", "{stage}.rpt"), "unknown placeholder"),
+    ("synth_command_template", "run {top.upper}", "unknown placeholder"),
+    ("synth_command_template", "run {top!z}", "conversion"),
+], ids=["synth", "sec-positional", "report-file", "attribute", "bad-conversion"])
+def test_bad_template_rejected_at_load(field, value, problem):
+    with pytest.raises(ValueError, match=problem):
+        ExternalConfig(**{"synth_command_template": "true", "metric_patterns": PATTERNS,
+                          field: value})
+
+
+def test_external_kind_needs_its_section():
+    with pytest.raises(ValueError, match="'external' section"):
+        BackendConfig(kind="external")
+    with pytest.raises(ValueError, match="'external' section"):
+        replace(BackendConfig(), kind="external")
 
 
 def test_external_synthesize_extracts_metrics():
@@ -111,8 +156,9 @@ def test_external_synthesize_rejects_report_off_schema(tmp_path, report):
 
 
 def test_external_synthesize_nonzero_exit_raises():
-    with pytest.raises(BackendError):
-        synthesize(parse(CHAIN_ADDER_8), _ext_config(synth="false"))
+    config = _ext_config(synth="echo 'no licence' >&2; echo 'giving up' >&2; exit 3")
+    with pytest.raises(BackendError, match="^synthesis exited 3: no licence giving up$"):
+        synthesize(parse(CHAIN_ADDER_8), config)
 
 
 def test_external_synthesize_pattern_miss_raises():
@@ -120,11 +166,18 @@ def test_external_synthesize_pattern_miss_raises():
         synthesize(parse(CHAIN_ADDER_8), _ext_config(synth="echo nothing"))
 
 
-def test_external_synthesize_missing_pattern_key():
+def test_external_synthesize_non_number_raises():
     config = BackendConfig(kind="external", external=ExternalConfig(
-        synth_command_template="echo 'wns -0.1'", metric_patterns={"wns": r"wns (-?\d+\.\d+)"}))
-    with pytest.raises(BackendError, match="no extraction pattern"):
-        ExternalBackend(config).synthesize(parse(CHAIN_ADDER_8))
+        "echo 'wns x'; echo 'tns -0.1'; echo 'area 1'",
+        metric_patterns={**PATTERNS, "wns": r"wns (\S+)"}))
+    with pytest.raises(BackendError, match="not a number"):
+        synthesize(parse(CHAIN_ADDER_8), config)
+
+
+def test_external_synthesize_timeout_raises():
+    config = _ext_config(synth="sleep 5", timeout_s=0.2)
+    with pytest.raises(BackendError, match="timed out after 0.2 s"):
+        synthesize(parse(CHAIN_ADDER_8), config)
 
 
 def test_external_sec_exit_code_decides():
@@ -146,12 +199,7 @@ def test_external_sec_sees_both_design_files():
 
 def test_external_sec_timeout_fails_conservatively():
     golden = parse(CHAIN_ADDER_8)
-    config = BackendConfig(kind="external", clock_period=0.1,
-                           external=ExternalConfig(
-                               synth_command_template="true",
-                               sec_command_template="sleep 5",
-                               timeout_s=0.2))
-    verdict = check_equivalence(golden, golden, config)
+    verdict = check_equivalence(golden, golden, _ext_config(sec="sleep 5", timeout_s=0.2))
     assert not verdict.passed
 
 
@@ -166,6 +214,29 @@ def test_external_default_clock_is_tighter():
     assert DEFAULT_CLOCK_NS == 0.5
     assert EXTERNAL_DEFAULT_CLOCK_NS == 0.1
     assert BackendConfig().clock_period == 0.5
-    external = BackendConfig(kind="external",
-                             external=ExternalConfig(synth_command_template="true"))
+    external = BackendConfig(kind="external", external=ExternalConfig(
+        synth_command_template="true", metric_patterns=PATTERNS))
     assert external.clock_period == 0.1
+
+
+def test_closed_loop_through_external_tools(tmp_path):
+    """The loop runs end to end on a toolchain of in-repo scripts: every check
+    is the tool's verdict, its interchange report maps paths to exact lines,
+    and the loop still cuts WNS."""
+    tool = f"{shlex.quote(sys.executable)} {shlex.quote(str(Path(__file__).with_name('fake_eda.py')))}"
+    backend = BackendConfig(kind="external", clock_period=0.5, external=ExternalConfig(
+        synth_command_template=f"{tool} synth {{design_dir}} {{top}} {{clock_ns}}",
+        sec_command_template=f"{tool} sec {{design_dir}}",
+        metric_patterns=FAKE_EDA_PATTERNS, report_files=("timing_report.json",)))
+    config = RunConfig(iterations=2, candidates=2, backend=backend,
+                       proposer=ProposerConfig(n_candidates=2))
+    result = run(parse(CHAIN_ADDER_8, "chain.rtl"), config, str(tmp_path))
+
+    with open(Path(result.run_dir) / "state.json") as fh:
+        state = RunState.from_dict(json.load(fh))
+    evaluated = [c for it in state.iterations for c in it.candidates if c.eval is not None]
+    assert evaluated
+    assert all(c.eval.sec_mode == SEC_EXTERNAL for c in evaluated)
+    regions = [d.rtl_region for it in state.iterations for d in it.diagnoses]
+    assert regions and all(r.confidence == "exact" for r in regions)
+    assert result.best_metrics.wns > state.baseline["wns"]

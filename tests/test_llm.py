@@ -197,3 +197,20 @@ def test_dead_endpoint_degrades_gracefully():
     client = LlmClient(LlmSettings(base_url="http://127.0.0.1:9",  # discard port
                                    model="stub", timeout_s=0.2, max_retries=0))
     assert client.propose(parse(CHAIN_ADDER_8), None, SkillLibrary()) is None
+
+
+@pytest.mark.parametrize("body, problem", [
+    ({"choices": []}, "no choices[0].message.content"),
+    ({"choices": None}, "no choices[0].message.content"),
+    ({"choices": [{"message": {"content": None}}]}, "content is NoneType"),
+    ({"choices": [{"message": {"content": [{"type": "text", "text": "x"}]}}]},
+     "content is list"),
+    ([{"choices": []}], "no choices[0].message.content"),
+], ids=["no-choices", "null-choices", "null-content", "list-content", "list-body"])
+def test_reply_of_wrong_shape_is_a_failed_attempt(stub_server, body, problem):
+    _StubHandler.script = [json.dumps(body).encode()]
+    client = _client(stub_server, max_retries=0)
+    assert client.propose(parse(CHAIN_ADDER_8), None, SkillLibrary()) is None
+    (transcript,) = client.transcripts
+    assert transcript.response_text is None
+    assert transcript.outcome.startswith("attempt 0: ") and problem in transcript.outcome

@@ -88,7 +88,8 @@ def test_baseline_failure_aborts(tmp_path):
     design = parse(CHAIN_ADDER_8, "chain.rtl")
     from rtlopt.backend import BackendConfig, ExternalConfig
     bad_backend = BackendConfig(kind="external", external=ExternalConfig(
-        synth_command_template="false", metric_patterns={}))
+        synth_command_template="false",
+        metric_patterns={"wns": r"wns (\S+)", "tns": r"tns (\S+)", "area": r"area (\S+)"}))
     with pytest.raises(BaselineEvaluationError):
         run(design, _config(backend=bad_backend), str(tmp_path))
 

@@ -47,7 +47,8 @@ ITERATION = IterationRecord(0, "root", 3, [DIAGNOSIS, DIAGNOSIS],
                             [OK, SKIPPED, EVAL_ERROR], STATS, "t0c0", True)
 OPEN_ITERATION = IterationRecord(1, "abc123", 2, [DIAGNOSIS])
 
-EXTERNAL = ExternalConfig("synth {top}", "sec {design_dir}", {"wns": r"wns (\S+)"},
+EXTERNAL = ExternalConfig("synth {top}", "sec {design_dir}",
+                          {"wns": r"wns (\S+)", "tns": r"tns (\S+)", "area": r"area (\S+)"},
                           ("timing.rpt", "area.rpt"), 60.0)
 LLM = LlmSettings("http://127.0.0.1:1", "m", timeout_s=5.0, max_retries=0)
 

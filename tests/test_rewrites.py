@@ -187,7 +187,8 @@ def test_region_first_search_equals_filter_then_widen(monkeypatch):
     """Searching the region's statements first and then the rest picks the
     site that the former rule picked: look in the region only, and retry the
     formerly regional strategies on the whole design. The result is the same
-    design object, for every corpus design, strategy and region."""
+    design object, for every corpus design, strategy and region. A region
+    over every line, as a heuristic-failed diagnosis gives, acts as None."""
     def reference(parent, strategy, region):
         with monkeypatch.context() as patch:
             patch.setattr(rewrites, "_statements", _region_filter)
@@ -204,13 +205,15 @@ def test_region_first_search_equals_filter_then_widen(monkeypatch):
         lines = len(source.splitlines())
         for strategy in STRATEGY_FUNCTIONS:
             whole = reference(parent, strategy, None)
-            for region in [None, (0, 0)] + [(n, n) for n in range(1, lines + 1)]:
+            for region in [None, (0, 0), (1, lines)] + [(n, n) for n in range(1, lines + 1)]:
                 expected = reference(parent, strategy, region)
                 try:
                     got = apply_strategy(parent, strategy, region=region)
                 except NotApplicable:
                     got = None
                 assert got is expected, (source, strategy, region)
+                if region == (1, lines):
+                    assert got is whole, (source, strategy)
                 steered += got is not whole
             if whole is not None:
                 applied.add(strategy)
