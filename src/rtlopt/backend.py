@@ -15,6 +15,7 @@ import json
 import math
 import os
 import re
+import signal
 import string
 import subprocess
 import tempfile
@@ -455,16 +456,27 @@ def run_external(template: str, top: str, config: BackendConfig,
     The directory's path, ``top`` and the clock period fill the placeholders.
     Output and existing report files are decoded as UTF-8, an invalid byte
     becoming a replacement character, and are not interpreted here. The
-    directory is removed before this returns or raises."""
+    command runs in its own session, so a timeout kills everything it
+    started, not only the shell. The directory is removed before this
+    returns or raises."""
     ext = config.external
     with tempfile.TemporaryDirectory(prefix="rtlopt-ext-") as design_dir:
         for name, text in design_files.items():
             with open(os.path.join(design_dir, name), "w") as fh:
                 fh.write(text)
         values = {"design_dir": design_dir, "top": top, "clock_ns": config.clock_period}
-        proc = subprocess.run(template.format(**values), shell=True, cwd=design_dir,
-                              capture_output=True, encoding="utf-8", errors="replace",
-                              timeout=ext.timeout_s)
+        with subprocess.Popen(template.format(**values), shell=True, cwd=design_dir,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              encoding="utf-8", errors="replace",
+                              start_new_session=True) as child:
+            try:
+                stdout, stderr = child.communicate(timeout=ext.timeout_s)
+            except subprocess.TimeoutExpired:
+                # Leaving the block waits for the shell, so the directory
+                # outlives every process of the group.
+                os.killpg(child.pid, signal.SIGKILL)
+                raise
+        proc = subprocess.CompletedProcess(child.args, child.returncode, stdout, stderr)
         reports = {}
         for rel in ext.report_files:
             path = os.path.join(design_dir, rel.format(**values))

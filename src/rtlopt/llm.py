@@ -9,12 +9,12 @@ are persisted so stub-based contract tests can replay them.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import re
+import urllib.request
 from dataclasses import dataclass
-
-import requests
 
 from .dsl import RtlDesign, RtlError, parse, print_design
 from .proposer import Proposal, LlmSettings, PROVENANCE_LLM
@@ -56,6 +56,10 @@ class LlmClient:
         self.transcript_dir = transcript_dir
         self.transcripts: list[Transcript] = []
         self._counter = 0
+        # One opener per client: it reads the proxy addresses from the
+        # environment now, where urlopen's process-wide opener keeps those
+        # of the first request in the process.
+        self._opener = urllib.request.build_opener()
 
     def _headers(self) -> dict:
         headers = {"Content-Type": "application/json"}
@@ -115,12 +119,15 @@ class LlmClient:
         for attempt in range(self.settings.max_retries + 1):
             text = None
             try:
-                response = requests.post(url, json=payload, headers=self._headers(),
-                                         timeout=self.settings.timeout_s)
-                response.raise_for_status()
-                text = _reply_text(response.json())
+                request = urllib.request.Request(url, json.dumps(payload).encode(),
+                                                 self._headers(), method="POST")
+                with self._opener.open(request, timeout=self.settings.timeout_s) as response:
+                    body = json.loads(response.read())
+                text = _reply_text(body)
                 design = self._extract_module(text, parent)
-            except (requests.RequestException, ValueError, RtlError) as exc:
+            # OSError covers refused or dropped connections, timeouts and
+            # statuses >= 400 (HTTPError); HTTPException a truncated body.
+            except (OSError, http.client.HTTPException, ValueError, RtlError) as exc:
                 self._record(Transcript(payload, text, f"attempt {attempt}: {exc}"))
                 continue
             self._record(Transcript(payload, text, "accepted"))

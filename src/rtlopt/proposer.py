@@ -13,6 +13,7 @@ candidates.
 from __future__ import annotations
 
 import math
+import urllib.parse
 from dataclasses import dataclass
 
 from .dsl import RtlDesign, print_design
@@ -33,6 +34,16 @@ class LlmSettings(Settings):
     credential_env: str = "RTLOPT_LLM_TOKEN"
     timeout_s: float = 120.0
     max_retries: int = 2
+
+    def __post_init__(self):
+        url = urllib.parse.urlsplit(self.base_url)
+        if url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError("llm.base_url must be an http or https URL with a host, "
+                             f"got {self.base_url!r}")
+        if self.timeout_s <= 0:
+            raise ValueError("llm.timeout_s must be > 0")
+        if self.max_retries < 0:
+            raise ValueError("llm.max_retries must be >= 0")
 
 
 @dataclass(frozen=True)

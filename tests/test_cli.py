@@ -132,6 +132,34 @@ def test_optimize_baseline_failure_exit_2(design_file, tmp_path, capsys):
     assert "baseline" in capsys.readouterr().err
 
 
+def _assert_rejected_at_load(command, design_file, tmp_path, capsys, payload):
+    """``command`` exits 1 with one ``error: invalid config`` line, before any run."""
+    config = _write(tmp_path, "bad.json", payload)
+    argv = [command, "--design", design_file, "--config", config]
+    if command == "optimize":
+        argv += ["--out", str(tmp_path / "runs")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config") and err.count("\n") == 1
+    assert not (tmp_path / "runs").exists()
+
+
+def _llm(**llm):
+    """A config payload with an LLM endpoint."""
+    return {"proposer": {"llm": {"base_url": "http://127.0.0.1:9", "model": "m", **llm}}}
+
+
+@pytest.mark.parametrize("command", ["eval", "optimize"])
+@pytest.mark.parametrize("payload", [
+    _llm(base_url="localhost:8000"), _llm(base_url="ftp://127.0.0.1/v1"),
+    _llm(base_url="http:///v1"), _llm(timeout_s=0), _llm(max_retries=-1),
+], ids=["url-without-scheme", "url-not-http", "url-without-host", "zero-timeout",
+        "negative-retries"])
+def test_llm_misconfiguration_exit_1_at_load(design_file, tmp_path, capsys, command,
+                                             payload):
+    _assert_rejected_at_load(command, design_file, tmp_path, capsys, payload)
+
+
 @pytest.mark.parametrize("command", ["eval", "optimize"])
 @pytest.mark.parametrize("payload", [
     {"backend": {"kind": "external"}},
@@ -141,14 +169,7 @@ def test_optimize_baseline_failure_exit_2(design_file, tmp_path, capsys):
 ], ids=["no-external-section", "missing-pattern", "unknown-placeholder"])
 def test_external_misconfiguration_exit_1_at_load(design_file, tmp_path, capsys,
                                                   command, payload):
-    config = _write(tmp_path, "ext.json", payload)
-    argv = [command, "--design", design_file, "--config", config]
-    if command == "optimize":
-        argv += ["--out", str(tmp_path / "runs")]
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: invalid config") and err.count("\n") == 1
-    assert not (tmp_path / "runs").exists()
+    _assert_rejected_at_load(command, design_file, tmp_path, capsys, payload)
 
 
 def test_eval_synthesis_timeout_exit_2(design_file, tmp_path, capsys):

@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -69,6 +70,28 @@ def test_run_external_removes_its_directory(tmp_path, monkeypatch):
     with pytest.raises(subprocess.TimeoutExpired):
         run_external("sleep 5", "chain", _ext_config(timeout_s=0.2), files)
     assert list(tmp_path.iterdir()) == []
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process; an unreaped zombie is not."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_run_external_timeout_kills_what_the_command_started(tmp_path):
+    pid_file = tmp_path / "child.pid"
+    with pytest.raises(subprocess.TimeoutExpired):
+        run_external(f"sleep 30 & echo $! > {shlex.quote(str(pid_file))}; wait", "chain",
+                     _ext_config(timeout_s=1.0), {})
+    pid = int(pid_file.read_text())
+    deadline = time.monotonic() + 5.0
+    while _running(pid) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _running(pid)
 
 
 @pytest.mark.parametrize("key", sorted(PATTERNS))

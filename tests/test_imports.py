@@ -1,4 +1,5 @@
-"""Import hygiene of src/rtlopt: no unused module-level imports, none in functions.
+"""Import hygiene of src/rtlopt: no unused module-level imports, none in
+functions, and no third-party package but numpy.
 
 Package ``__init__.py`` files re-export names, so they are exempt from the
 unused check.
@@ -7,6 +8,7 @@ unused check.
 import ast
 import functools
 import pathlib
+import sys
 
 import pytest
 
@@ -34,6 +36,16 @@ def test_no_unused_module_level_imports(path):
                 for name in _imported_names(node)]
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported if name not in used] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_imports_only_the_standard_library_and_numpy(path):
+    tops = [alias.name.split(".")[0] for node in ast.walk(_tree(path))
+            if isinstance(node, ast.Import) for alias in node.names]
+    tops += [node.module.split(".")[0] for node in ast.walk(_tree(path))
+             if isinstance(node, ast.ImportFrom) and node.level == 0]
+    allowed = sys.stdlib_module_names | {"numpy"}
+    assert [name for name in tops if name not in allowed] == []
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))

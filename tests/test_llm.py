@@ -3,6 +3,7 @@
 import json
 import os
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
@@ -38,37 +39,62 @@ def _chat_body(text):
     return json.dumps({"choices": [{"message": {"content": text}}]}).encode()
 
 
+def _send(handler, payload, status=200, length=None):
+    handler.send_response(status)
+    handler.send_header("Content-Type", "application/json")
+    handler.send_header("Content-Length", str(len(payload) if length is None else length))
+    handler.end_headers()
+    handler.wfile.write(payload)
+
+
 class _StubHandler(BaseHTTPRequestHandler):
-    """Replays a scripted list of response payloads, in order."""
+    """Replays a scripted list of replies, in order. A reply is a response
+    payload, or a function that answers through the handler itself."""
 
     script = []
-    requests_seen = []
+    received = []
 
     def do_POST(self):  # noqa: N802 - http.server API
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
-        type(self).requests_seen.append((self.path, dict(self.headers), body))
-        payload = self.script.pop(0) if self.script else _chat_body("no more")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        type(self).received.append((self.path, dict(self.headers), body))
+        reply = self.script.pop(0) if self.script else _chat_body("no more")
+        if callable(reply):
+            reply(self)
+        else:
+            _send(self, reply)
 
     def log_message(self, *args):
         pass
 
 
-@pytest.fixture
-def stub_server():
-    server = HTTPServer(("127.0.0.1", 0), _StubHandler)
-    _StubHandler.script = []
-    _StubHandler.requests_seen = []
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+class _ProxyHandler(_StubHandler):
+    """A second endpoint with its own record, standing in for a proxy."""
+
+    script = []
+    received = []
+
+
+def _serve(handler):
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    handler.script = []
+    handler.received = []
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
     thread.join()
+    server.server_close()
+
+
+@pytest.fixture
+def stub_server():
+    yield from _serve(_StubHandler)
+
+
+@pytest.fixture
+def proxy_server():
+    yield from _serve(_ProxyHandler)
 
 
 def _client(base_url, transcript_dir=None, max_retries=2):
@@ -85,7 +111,7 @@ def test_valid_response_becomes_proposal(stub_server, tmp_path):
     assert proposal is not None
     assert proposal.provenance == "llm"
     assert proposal.design.port_signature() == parent.port_signature()
-    path, headers, body = _StubHandler.requests_seen[0]
+    path, headers, body = _StubHandler.received[0]
     assert path.endswith("/chat/completions")
     assert body["model"] == "stub-model"
     saved = os.listdir(str(tmp_path / "transcripts"))
@@ -122,7 +148,7 @@ def test_prose_then_valid_retries(stub_server):
     client = _client(stub_server)
     proposal = client.propose(parse(CHAIN_ADDER_8), None, SkillLibrary())
     assert proposal is not None
-    assert len(_StubHandler.requests_seen) == 2
+    assert len(_StubHandler.received) == 2
     assert client.transcripts[0].outcome.startswith("attempt 0")
     assert client.transcripts[1].outcome == "accepted"
 
@@ -132,7 +158,7 @@ def test_changed_ports_rejected_then_none(stub_server):
     client = _client(stub_server, max_retries=2)
     proposal = client.propose(parse(CHAIN_ADDER_8), None, SkillLibrary())
     assert proposal is None
-    assert len(_StubHandler.requests_seen) == 3  # initial + 2 retries
+    assert len(_StubHandler.received) == 3  # initial + 2 retries
     assert all("port interface" in t.outcome for t in client.transcripts)
 
 
@@ -153,7 +179,7 @@ def test_credential_header_from_env(stub_server, monkeypatch):
     monkeypatch.setenv("RTLOPT_LLM_TOKEN", "sk-test-123")
     _StubHandler.script = [_chat_body(f"```\n{REBALANCED}```")]
     _client(stub_server).propose(parse(CHAIN_ADDER_8), None, SkillLibrary())
-    _, headers, _ = _StubHandler.requests_seen[0]
+    _, headers, _ = _StubHandler.received[0]
     assert headers.get("Authorization") == "Bearer sk-test-123"
 
 
@@ -214,3 +240,88 @@ def test_reply_of_wrong_shape_is_a_failed_attempt(stub_server, body, problem):
     (transcript,) = client.transcripts
     assert transcript.response_text is None
     assert transcript.outcome.startswith("attempt 0: ") and problem in transcript.outcome
+
+
+def _server_error(handler):
+    _send(handler, b'{"error": "overloaded"}', status=500)
+
+
+def _hang_up(handler):
+    handler.close_connection = True  # the request is read; nothing is written
+
+
+def _truncated(handler):
+    payload = _chat_body(f"```\n{REBALANCED}```")
+    _send(handler, payload[:20], length=len(payload))
+
+
+def _slow(handler):
+    time.sleep(0.6)
+    _send(handler, _chat_body(f"```\n{REBALANCED}```"))
+
+
+@pytest.mark.parametrize("reply", [
+    _server_error, _hang_up, _truncated, b"\xff\xfe\x00not json", _slow,
+], ids=["status-500", "closed-without-reply", "short-body", "not-json", "timeout"])
+def test_failed_request_is_a_failed_attempt(stub_server, reply):
+    _StubHandler.script = [reply]
+    client = LlmClient(LlmSettings(base_url=stub_server, model="stub-model",
+                                   timeout_s=0.3, max_retries=0))
+    assert client.propose(parse(CHAIN_ADDER_8), None, SkillLibrary()) is None
+    (transcript,) = client.transcripts
+    assert transcript.response_text is None
+    assert transcript.outcome.startswith("attempt 0: ")
+
+
+def test_optimize_against_truncating_endpoint_fills_slots_from_rules(stub_server, tmp_path,
+                                                                     capsys):
+    from rtlopt.cli import main
+    from rtlopt.trajectory import RunState
+
+    _StubHandler.script = [_truncated] * 100
+    design = tmp_path / "chain.rtl"
+    design.write_text(CHAIN_ADDER_8)
+    config = tmp_path / "llm.json"
+    config.write_text(json.dumps({
+        "run": {"iterations": 2},
+        "proposer": {"n_candidates": 3,
+                     "llm": {"base_url": stub_server, "model": "stub-model",
+                             "max_retries": 0}}}))
+    out = tmp_path / "runs"
+    assert main(["optimize", "--design", str(design), "--config", str(config),
+                 "--out", str(out)]) == 0
+    with open(out / "chain-seed0" / "state.json") as fh:
+        iterations = RunState.from_dict(json.load(fh)).iterations
+    kinds = [c.proposer_kind for it in iterations for c in it.candidates]
+    assert "rule" in kinds and "llm" not in kinds
+    outcomes = [json.loads(path.read_text())["outcome"]
+                for path in sorted((out / "llm").iterdir())]
+    assert outcomes and all(o.startswith("attempt 0: ") for o in outcomes)
+
+
+def _proxy_environment(monkeypatch, **values):
+    for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    for name, value in values.items():
+        monkeypatch.setenv(name, value)
+
+
+def test_proxy_is_read_when_the_client_is_made(stub_server, proxy_server, monkeypatch):
+    _proxy_environment(monkeypatch)
+    earlier = _client(stub_server, max_retries=0)
+    _proxy_environment(monkeypatch, http_proxy=proxy_server)
+    _client(stub_server, max_retries=0).propose(parse(CHAIN_ADDER_8), None, SkillLibrary())
+    # Through a proxy the request line carries the absolute URL.
+    assert [path for path, _, _ in _ProxyHandler.received] == [
+        stub_server + "/chat/completions"]
+    assert _StubHandler.received == []
+    earlier.propose(parse(CHAIN_ADDER_8), None, SkillLibrary())
+    assert [path for path, _, _ in _StubHandler.received] == ["/chat/completions"]
+
+
+def test_no_proxy_goes_direct(stub_server, proxy_server, monkeypatch):
+    _proxy_environment(monkeypatch, http_proxy=proxy_server, no_proxy="127.0.0.1")
+    _client(stub_server, max_retries=0).propose(parse(CHAIN_ADDER_8), None, SkillLibrary())
+    assert _ProxyHandler.received == []
+    assert [path for path, _, _ in _StubHandler.received] == ["/chat/completions"]
