@@ -41,8 +41,10 @@ REGISTER_AREA_PER_BIT = 6.0
 SEC_EXHAUSTIVE_BUDGET_BITS = 20
 SEC_SAMPLE_COUNT = 100_000
 SEC_SAMPLE_SEED = 0xD0
-# Candidates are simulated this many sequences at a time; a failing one stops
-# at the first chunk with a mismatch. At this size a passing 60x32 chain check
+# Stimulus and golden traces are built, and candidates simulated, this many
+# sequences at a time (after the directed rows, a chunk of their own); a
+# failing check stops at the first chunk with a mismatch, and no chunk is
+# built before a check reaches it. At this size a passing 60x32 chain check
 # costs about what one unchunked pass does; at 4k chunks it cost up to 2x.
 SEC_CHUNK = 16_384
 
@@ -261,27 +263,85 @@ def _make_path(endpoint: str, arrival: float, stages: list[Stage],
 # --- sequential equivalence checking --------------------------------------
 
 
-@dataclass(frozen=True)
 class _Reference:
-    """Stimulus and golden output traces for one frame count."""
-    mode: str
-    rows: int      # input sequences
-    inputs: list   # per frame: input port name -> vector over sequences
-    outputs: list  # per frame: output port name -> golden vector
-    # Every vector is in uint_dtype of its port's width.
+    """Stimulus and golden output traces for one frame count, as chunks of
+    input sequences built in order when a check first reaches them.
+
+    Exhaustive mode decodes every sequence number, SEC_CHUNK to a chunk. In
+    bounded mode chunk 0 is the directed rows, and each later chunk holds
+    SEC_CHUNK sampled sequences (the last one the rest of SEC_SAMPLE_COUNT)
+    drawn from this reference's generator chunk by chunk, frame by frame,
+    port by port. Building chunk k builds every chunk before it, so a
+    chunk's rows do not depend on which check asked for it. The golden is
+    compiled once and simulated on each chunk as it is built. Every vector
+    is in uint_dtype of its port's width.
+    """
+
+    def __init__(self, golden: RtlDesign, frames: int):
+        self.frames, self.ports = frames, golden.input_ports
+        self.compiled, self.constants = CompiledDesign(golden), _constants(golden)
+        self.chunks: list[tuple[list, list]] = []  # (inputs, golden outputs) per chunk
+        bits = sum(p.width for p in self.ports) * frames
+        if bits <= SEC_EXHAUSTIVE_BUDGET_BITS:
+            self.mode, self.rng, self.rows = SEC_EXHAUSTIVE, None, 1 << bits
+            head = min(SEC_CHUNK, self.rows)
+        else:
+            self.mode, self.rng = SEC_BOUNDED, np.random.default_rng(SEC_SAMPLE_SEED)
+            self.directed = _directed(self.ports, self.constants, frames)
+            head = len(self.directed[0][self.ports[0].name])
+            self.rows = head + SEC_SAMPLE_COUNT
+        self.edges = [0, *range(head, self.rows, SEC_CHUNK), self.rows]
+
+    def _inputs(self, lo: int, hi: int) -> list[dict[str, np.ndarray]]:
+        if self.mode == SEC_BOUNDED and lo == 0:
+            return self.directed
+        seq = np.arange(lo, hi, dtype=np.uint64) if self.mode == SEC_EXHAUSTIVE else None
+        offset, out = 0, []
+        for _ in range(self.frames):
+            out.append({})
+            for p in self.ports:
+                if seq is not None:  # decode the sequence numbers
+                    vec = (seq >> np.uint64(offset)) & np.uint64((1 << p.width) - 1)
+                else:  # always drawn as uint64, then narrowed: the dtype selects the stream
+                    vec = self.rng.integers(0, 1 << p.width, size=hi - lo, dtype=np.uint64)
+                out[-1][p.name] = vec.astype(uint_dtype(p.width))
+                offset += p.width
+        return out
+
+    def chunk(self, k: int) -> tuple[list, list]:
+        """Chunk k's per-frame input vectors and golden output vectors."""
+        while len(self.chunks) <= k:
+            built = len(self.chunks)
+            inputs = self._inputs(self.edges[built], self.edges[built + 1])
+            self.chunks.append((inputs, self.compiled.run(inputs, self.frames)))
+        return self.chunks[k]
+
+    def walk(self, candidate: RtlDesign):
+        """Every chunk in order for one check of ``candidate``. In bounded
+        mode, when the candidate has constants the golden lacks, one more
+        chunk follows chunk 0: it walks every input through each of them
+        -1/+0/+1, and it is built for this check alone."""
+        yield self.chunk(0)
+        extra = _constants(candidate) - self.constants if self.mode == SEC_BOUNDED else ()
+        if extra:
+            inputs = _directed(self.ports, extra, self.frames, corners=False)
+            yield inputs, self.compiled.run(inputs, self.frames)
+        for k in range(1, len(self.edges) - 1):
+            yield self.chunk(k)
 
 
 class GoldenSec:
-    """Per-run SEC context: the golden design's normal forms, stimulus and
-    output traces.
+    """Per-run SEC context: the golden design's normal forms, and its
+    stimulus and output traces per frame count.
 
     None of them depends on the candidate: the output forms are computed on
-    the first check of a register-free candidate, and the stimulus and
-    traces once per frame count on the first check that simulates. All are
-    shared by every check against this golden. The golden's forms stay in
-    ``Expr``'s intern table as long as the context; a candidate's go with
-    its check. Neither this nor building an ``Expr`` is thread-safe: checks
-    run one by one on the loop's thread. If threads come back, so does a lock.
+    the first check of a register-free candidate, and a frame count's
+    reference on the first check that simulates; each chunk of it is built
+    by the first check that reaches that chunk. All are shared by every
+    check against this golden. The golden's forms stay in ``Expr``'s intern
+    table as long as the context; a candidate's go with its check. Neither
+    this nor building an ``Expr`` is thread-safe: checks run one by one on
+    the loop's thread. If threads come back, so does a lock.
     """
 
     def __init__(self, golden: RtlDesign):
@@ -300,12 +360,9 @@ class GoldenSec:
         return output_forms(candidate) == self._golden_forms
 
     def reference(self, frames: int) -> _Reference:
-        ref = self._by_frames.get(frames)
-        if ref is None:
-            mode, rows, inputs = _stimulus(self.golden, frames)
-            outputs = CompiledDesign(self.golden).run(inputs, frames)
-            ref = self._by_frames[frames] = _Reference(mode, rows, inputs, outputs)
-        return ref
+        if frames not in self._by_frames:
+            self._by_frames[frames] = _Reference(self.golden, frames)
+        return self._by_frames[frames]
 
 
 def _constants(design: RtlDesign) -> set[int]:
@@ -313,60 +370,26 @@ def _constants(design: RtlDesign) -> set[int]:
             if node.kind == "const"}
 
 
-def _directed_rows(golden: RtlDesign, frames: int) -> list[list[dict[str, int]]]:
-    """Corner-case sequences that random samples rarely draw.
+def _directed(ports: list, constants: set[int], frames: int,
+              corners: bool = True) -> list[dict[str, np.ndarray]]:
+    """Per-frame input vectors of sequences that random samples rarely draw.
 
-    Per input: 0, 1, all-ones, MSB-only and every golden constant -1/+0/+1.
-    "Packed" sequences walk every input through its value list in step, one
-    value per frame; "hold" sequences keep all inputs at 0, 1, all-ones or
-    MSB-only for every frame.
+    Each input's values are every constant -1/+0/+1 and, with ``corners``,
+    0, 1, all-ones and MSB-only. "Packed" sequences walk every input through
+    its values in step, one value per frame; with ``corners``, four "hold"
+    sequences follow that keep all inputs at 0, 1, all-ones or MSB-only for
+    every frame. Each vector is in uint_dtype of its port's width.
     """
-    inputs = golden.input_ports
-    constants = _constants(golden)
-    corners, lists = {}, {}
-    for p in inputs:
+    values, holds = {}, {}
+    for p in ports:
         mask = (1 << p.width) - 1
-        corners[p.name] = (0, 1, mask, 1 << (p.width - 1))
+        holds[p.name] = [0, 1, mask, 1 << (p.width - 1)] if corners else []
         near = {(c + d) & mask for c in constants for d in (-1, 0, 1)}
-        lists[p.name] = sorted({*corners[p.name], *near})
-    longest = max(len(v) for v in lists.values())
-    rows = [[{p.name: lists[p.name][(start + f) % len(lists[p.name])] for p in inputs}
-             for f in range(frames)] for start in range(0, longest, frames)]
-    for k in range(4):
-        rows.append([{p.name: corners[p.name][k] for p in inputs}] * frames)
-    return rows
-
-
-def _stimulus(golden: RtlDesign, frames: int) -> tuple[str, int, list[dict[str, np.ndarray]]]:
-    """Mode, sequence count and per-frame input vectors: every input sequence
-    when they fit the budget, else directed rows then a fixed-seed sample.
-    Each port's vector is in uint_dtype of its width."""
-    inputs = golden.input_ports
-    total_bits = sum(p.width for p in inputs) * frames
-    input_arrays = []
-    if total_bits <= SEC_EXHAUSTIVE_BUDGET_BITS:
-        seq = np.arange(1 << total_bits, dtype=np.uint64)
-        offset = 0
-        for frame in range(frames):
-            vec = {}
-            for p in inputs:
-                bits = (seq >> np.uint64(offset)) & np.uint64((1 << p.width) - 1)
-                vec[p.name] = bits.astype(uint_dtype(p.width))
-                offset += p.width
-            input_arrays.append(vec)
-        return SEC_EXHAUSTIVE, len(seq), input_arrays
-
-    directed = _directed_rows(golden, frames)
-    rng = np.random.default_rng(SEC_SAMPLE_SEED)
-    for frame in range(frames):
-        vec = {}
-        for p in inputs:
-            head = np.array([row[frame][p.name] for row in directed], dtype=np.uint64)
-            # Always drawn as uint64, then narrowed: the dtype selects the stream.
-            sample = rng.integers(0, 1 << p.width, size=SEC_SAMPLE_COUNT, dtype=np.uint64)
-            vec[p.name] = np.concatenate((head, sample)).astype(uint_dtype(p.width))
-        input_arrays.append(vec)
-    return SEC_BOUNDED, len(directed) + SEC_SAMPLE_COUNT, input_arrays
+        values[p.name] = sorted({*holds[p.name], *near})
+    starts = range(0, max(len(v) for v in values.values()), frames)
+    return [{p.name: np.array([values[p.name][(s + f) % len(values[p.name])] for s in starts]
+                              + holds[p.name], dtype=uint_dtype(p.width)) for p in ports}
+            for f in range(frames)]
 
 
 def check_equivalence(golden: RtlDesign, candidate: RtlDesign,
@@ -407,8 +430,8 @@ def simulate_equivalence(golden: RtlDesign, candidate: RtlDesign,
     show up as first-frame mismatches and fail like any other difference.
     ``sec`` is the run's context for ``golden``; without one the stimulus
     and golden traces are built for this check alone. The candidate is
-    simulated SEC_CHUNK sequences at a time and the check stops at the
-    first chunk with a mismatch.
+    simulated one chunk of the reference at a time, and the check stops at
+    the first chunk with a mismatch, so later chunks are never built for it.
     """
     if sec is None:
         sec = GoldenSec(golden)
@@ -416,25 +439,21 @@ def simulate_equivalence(golden: RtlDesign, candidate: RtlDesign,
     frames = max(len(golden.registers), len(candidate.registers)) + 2
     ref = sec.reference(frames)
     compiled = CompiledDesign(candidate)
-    for start in range(0, ref.rows, SEC_CHUNK):
-        rows = slice(start, start + SEC_CHUNK)
-        got = compiled.run([{name: v[rows] for name, v in vec.items()}
-                            for vec in ref.inputs], frames)
+    for inputs, outputs in ref.walk(candidate):
+        got = compiled.run(inputs, frames)
         for frame in range(frames):
             for port in golden.output_ports:
-                g = ref.outputs[frame][port.name]
-                c = got[frame][port.name]
-                mismatch = np.flatnonzero(g[rows] != c)
+                g, c = outputs[frame][port.name], got[frame][port.name]
+                mismatch = np.flatnonzero(g != c)
                 if mismatch.size:
                     i = int(mismatch[0])
-                    row = start + i
                     trace = tuple(
-                        {p.name: int(ref.inputs[f][p.name][row]) for p in golden.input_ports}
+                        {p.name: int(inputs[f][p.name][i]) for p in golden.input_ports}
                         for f in range(frames)
                     )
                     return SecVerdict(False, ref.mode, Counterexample(
                         input_trace=trace, frame=frame, output=port.name,
-                        golden_value=int(g[row]), candidate_value=int(c[i])))
+                        golden_value=int(g[i]), candidate_value=int(c[i])))
     return SecVerdict(True, ref.mode)
 
 

@@ -134,25 +134,37 @@ def test_evaluate_group_runs_slots_in_order_on_the_loops_thread(bcfg, monkeypatc
 @pytest.mark.parametrize("source", [CHAIN_ADDER_8_REG, REWRITE_CORPUS[4]],
                          ids=["bounded", "exhaustive"])
 def test_run_simulates_golden_once_per_frame_count(source, tmp_path, monkeypatch):
-    """SEC's golden traces are built per run, not per candidate, and a
-    second run() on the same design object builds its own."""
+    """SEC's golden traces are built per run, not per candidate: the golden
+    is simulated once on each chunk that the run's checks reach, at each
+    frame count, and a second run() on the same design object builds its
+    own."""
     design = parse(source, "d.rtl")
     real_run = CompiledDesign.run
-    sims = []  # (run index, golden?, frames)
+    sims = []  # (run index, golden?, frames, input vectors)
+    contexts = []
+
+    class RecordedSec(GoldenSec):
+        def __init__(self, golden):
+            super().__init__(golden)
+            contexts.append(self)
 
     def counting_run(self, input_arrays, frames):
-        sims.append((len(runs), self.design is design, frames))
+        sims.append((len(runs), self.design is design, frames, input_arrays))
         return real_run(self, input_arrays, frames)
 
     monkeypatch.setattr(CompiledDesign, "run", counting_run)
+    monkeypatch.setattr(orchestrator.be, "GoldenSec", RecordedSec)
     runs = []
     for name in ("one", "two"):
         runs.append(run(design, _config(iterations=2), str(tmp_path / name)))
-    for r in range(2):
-        golden = [f for i, is_golden, f in sims if i == r and is_golden]
-        candidate = [f for i, is_golden, f in sims if i == r and not is_golden]
-        assert golden and sorted(golden) == sorted(set(candidate))
-        assert len(candidate) > len(golden)
+    assert len(contexts) == 2
+    for r, sec in enumerate(contexts):
+        golden = [(f, x) for i, is_golden, f, x in sims if i == r and is_golden]
+        candidate = [f for i, is_golden, f, _ in sims if i == r and not is_golden]
+        built = [(f, x) for f, ref in sec._by_frames.items() for x, _ in ref.chunks]
+        assert golden and sorted(set(f for f, _ in golden)) == sorted(set(candidate))
+        # One golden simulation per built chunk, on that chunk's own vectors.
+        assert sorted((f, id(x)) for f, x in golden) == sorted((f, id(x)) for f, x in built)
 
 
 def test_all_skipped_group_is_reused_not_proposed_again(tmp_path, monkeypatch):

@@ -13,6 +13,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import check  # noqa: E402
+import rtlopt.backend  # noqa: E402
 import workloads  # noqa: E402
 from corpus import CHAIN_ADDER_8_REG  # noqa: E402
 from rtlopt.backend import SEC_SYMBOLIC  # noqa: E402
@@ -35,13 +36,22 @@ def test_install_then_remove_restores_every_patched_name():
         assert getattr(owner, attr) is original, f"{owner.__name__}.{attr}"
 
 
-def test_traced_run_records_trajectory_layers(tmp_path):
+def test_traced_run_records_trajectory_layers(tmp_path, monkeypatch):
     """Every trajectory method has spans, parsing and printing have spans
     (rewrites still print and parse each candidate, and the loop parses each
-    promoted one), and SEC splits into one golden simulation, candidate
-    simulations and one check per evaluated candidate. The registered chain
-    is never proved by normal form, so each check simulates."""
+    promoted one), and SEC splits into one golden simulation per stimulus
+    chunk the run reached, candidate simulations and one check per evaluated
+    candidate. The registered chain is never proved by normal form, so each
+    check simulates."""
     design = parse(CHAIN_ADDER_8_REG, "chain.rtl")
+    contexts = []
+
+    class RecordedSec(rtlopt.backend.GoldenSec):
+        def __init__(self, golden):
+            super().__init__(golden)
+            contexts.append(self)
+
+    monkeypatch.setattr(rtlopt.backend, "GoldenSec", RecordedSec)
     tracer = Tracer({id(design)})
     tracer.install()
     try:
@@ -62,7 +72,10 @@ def test_traced_run_records_trajectory_layers(tmp_path):
     assert evaluated > 0
     assert tracer.counts[0, "backend.sec.checks"] == evaluated
     assert layers["backend.sec"]["calls"] == evaluated
-    assert layers["backend.sec.golden_sim"]["calls"] == 1
+    (sec,) = contexts
+    reached = sum(len(ref.chunks) for ref in sec._by_frames.values())
+    assert reached >= 1
+    assert layers["backend.sec.golden_sim"]["calls"] == reached
     assert layers["backend.sec.candidate_sim"]["calls"] >= 1
 
 

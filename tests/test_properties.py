@@ -10,9 +10,11 @@ from hypothesis import assume, given, settings
 
 from corpus import CHAIN_ADDER_8, CHAIN_ADDER_8_REG, REWRITE_CORPUS
 from rtlopt.backend import (
+    SEC_BOUNDED,
     SEC_EXHAUSTIVE,
     SEC_SYMBOLIC,
     BackendConfig,
+    GoldenSec,
     check_equivalence,
     simulate_equivalence,
 )
@@ -308,6 +310,21 @@ def _rebuild(expr, target, new):
     return replace(expr, args=tuple(_rebuild(a, target, new) for a in expr.args))
 
 
+def _changed(expr, changes):
+    """``expr`` after each change that applies somewhere, at most one of
+    them a mutation."""
+    mutated = False
+    for index, how, pick in changes:
+        if how == "mutate" and mutated:
+            continue
+        sites = [(n, v) for n in expr.walk() if (v := _variant(n, how, pick)) is not n]
+        if sites:
+            target, new = sites[index % len(sites)]
+            expr = _rebuild(expr, target, new)
+            mutated |= how == "mutate"
+    return expr
+
+
 _CHANGES = st.tuples(st.integers(0, 63),
                      st.sampled_from(["commute", "reassociate", "mutate"]),
                      st.integers(1, 3))
@@ -322,17 +339,7 @@ def test_symbolic_pass_is_an_exhaustive_pass(expr_text, changes):
     other verdict must be the simulated one. The variant applies a few
     changes at nodes where they apply, at most one of them a mutation."""
     golden = _design(2, expr_text)
-    expr = golden.assigns[0].expr
-    mutated = False
-    for index, how, pick in changes:
-        if how == "mutate" and mutated:
-            continue
-        sites = [(n, v) for n in expr.walk() if (v := _variant(n, how, pick)) is not n]
-        if sites:
-            target, new = sites[index % len(sites)]
-            expr = _rebuild(expr, target, new)
-            mutated |= how == "mutate"
-    candidate = _design(2, print_expr(expr))
+    candidate = _design(2, print_expr(_changed(golden.assigns[0].expr, changes)))
     checked = check_equivalence(golden, candidate, BackendConfig())
     simulated = simulate_equivalence(golden, candidate)
     assert simulated.mode == SEC_EXHAUSTIVE
@@ -340,6 +347,35 @@ def test_symbolic_pass_is_an_exhaustive_pass(expr_text, changes):
         assert simulated.passed, (expr_text, print_expr(expr))
     else:
         assert checked == simulated
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from((3, 4, 7, 8)).flatmap(lambda w: st.tuples(st.just(w), _exprs(w, 3))),
+       st.lists(_CHANGES, min_size=1, max_size=4))
+def test_chunked_verdict_is_the_whole_batch_verdict(case, changes):
+    """A check walks its reference chunk by chunk and stops at the first
+    mismatch; its verdict passes exactly when one co-simulation of every
+    chunk it would walk, joined into one batch, shows no mismatch. Width 3
+    is exhaustive (18 input bits over 2 frames), the others are sampled.
+    Every counterexample replays."""
+    width, expr_text = case
+    golden = _design(width, expr_text)
+    candidate = _design(width, print_expr(_changed(golden.assigns[0].expr, changes)))
+    verdict = simulate_equivalence(golden, candidate)
+    ref = GoldenSec(golden).reference(2)
+    chunks = list(ref.walk(candidate))
+    joined = [{v: np.concatenate([inputs[f][v] for inputs, _ in chunks]) for v in _VARS}
+              for f in range(2)]
+    g = CompiledDesign(golden).run(joined, 2)
+    c = CompiledDesign(candidate).run(joined, 2)
+    assert verdict.mode == ref.mode == (SEC_EXHAUSTIVE if width == 3 else SEC_BOUNDED)
+    assert verdict.passed == all(np.array_equal(g[f]["y"], c[f]["y"]) for f in range(2))
+    if not verdict.passed:
+        cex = verdict.counterexample
+        trace = list(cex.input_trace)
+        assert simulate(golden, trace, 2)[cex.frame][cex.output] == cex.golden_value
+        assert simulate(candidate, trace, 2)[cex.frame][cex.output] == cex.candidate_value
+        assert cex.golden_value != cex.candidate_value
 
 
 @settings(max_examples=200, deadline=None)

@@ -145,11 +145,14 @@ def test_bounded_nonequivalent_pairs_fail_and_replay(golden_src, candidate_src, 
 
 
 def test_directed_rows_precede_the_random_sample():
+    """Chunk 0 is the directed rows alone."""
     golden = parse(BOUNDED_NONEQUIVALENT_PAIRS[0][0])
     ref = GoldenSec(golden).reference(2)
     directed = ref.rows - SEC_SAMPLE_COUNT
     assert directed > 0
-    head = {int(v) for f in range(2) for v in ref.inputs[f]["x"][:directed]}
+    inputs, _ = ref.chunk(0)
+    assert all(len(vec["x"]) == directed for vec in inputs)
+    head = {int(v) for vec in inputs for v in vec["x"]}
     assert {0, 1, 0xFFFFFFFF, 0x80000000} <= head
 
 
@@ -173,20 +176,36 @@ def test_reference_holds_each_port_in_its_narrowest_dtype(source, mode, bcfg):
     golden = parse(source)
     ref = GoldenSec(golden).reference(2)
     assert ref.mode == mode
-    for frame in range(2):
-        for p in golden.input_ports:
-            assert ref.inputs[frame][p.name].dtype == uint_dtype(p.width), p.name
-        for p in golden.output_ports:
-            assert ref.outputs[frame][p.name].dtype == uint_dtype(p.width), p.name
-    if mode == SEC_BOUNDED:
-        # The sample is still drawn as uint64, port by port, frame by frame.
-        rng = np.random.default_rng(SEC_SAMPLE_SEED)
-        directed = ref.rows - SEC_SAMPLE_COUNT
+    chunks = [ref.chunk(k) for k in range(len(ref.edges) - 1)]
+    for inputs, outputs in chunks:
         for frame in range(2):
             for p in golden.input_ports:
-                drawn = rng.integers(0, 1 << p.width, size=SEC_SAMPLE_COUNT,
-                                     dtype=np.uint64)
-                assert np.array_equal(ref.inputs[frame][p.name][directed:], drawn)
+                assert inputs[frame][p.name].dtype == uint_dtype(p.width), p.name
+            for p in golden.output_ports:
+                assert outputs[frame][p.name].dtype == uint_dtype(p.width), p.name
+    if mode == SEC_BOUNDED:
+        # Chunk 0 is the directed rows; the sample follows in chunks of
+        # SEC_CHUNK rows, drawn as uint64 chunk by chunk, frame by frame,
+        # port by port.
+        sizes = [len(inputs[0]["a"]) for inputs, _ in chunks]
+        assert sizes == ([ref.rows - SEC_SAMPLE_COUNT]
+                         + [SEC_CHUNK] * (SEC_SAMPLE_COUNT // SEC_CHUNK)
+                         + [SEC_SAMPLE_COUNT % SEC_CHUNK])
+        rng = np.random.default_rng(SEC_SAMPLE_SEED)
+        for inputs, _ in chunks[1:]:
+            for frame in range(2):
+                for p in golden.input_ports:
+                    drawn = rng.integers(0, 1 << p.width, size=len(inputs[frame][p.name]),
+                                         dtype=np.uint64)
+                    assert np.array_equal(inputs[frame][p.name], drawn)
+    else:
+        # One chunk decodes every sequence number, frame-major, port by port.
+        ((inputs, _),) = chunks
+        seq = np.arange(ref.rows)
+        assert np.array_equal(inputs[0]["a"], seq & 1)
+        assert np.array_equal(inputs[0]["b"], seq >> 1 & 15)
+        assert np.array_equal(inputs[1]["a"], seq >> 5 & 1)
+        assert np.array_equal(inputs[1]["b"], seq >> 6 & 15)
     broken = parse(source.replace("~b", "b").replace("a < b", "b < a"))
     cex = check_equivalence(golden, broken, bcfg).counterexample
     values = [cex.golden_value, cex.candidate_value,
@@ -195,20 +214,91 @@ def test_reference_holds_each_port_in_its_narrowest_dtype(source, mode, bcfg):
     _assert_replays(golden, broken, cex)
 
 
+def _is_fresh(rng):
+    return rng.bit_generator.state == np.random.default_rng(SEC_SAMPLE_SEED).bit_generator.state
+
+
+def test_refuted_on_directed_rows_builds_one_chunk(bcfg):
+    """A candidate that the directed rows refute leaves chunk 0 alone built
+    and the sample generator undrawn."""
+    golden, candidate = map(parse, BOUNDED_NONEQUIVALENT_PAIRS[0])
+    sec = GoldenSec(golden)
+    verdict = check_equivalence(golden, candidate, bcfg, sec)
+    assert verdict.mode == SEC_BOUNDED and not verdict.passed
+    _assert_replays(golden, candidate, verdict.counterexample)
+    ref = sec.reference(2)
+    assert len(ref.chunks) == 1
+    assert _is_fresh(ref.rng)
+
+
 def test_counterexample_past_the_first_chunk_replays(bcfg):
-    """The pair's only mismatching samples lie in a later chunk, so a
-    counterexample indexed within its chunk alone would not replay."""
+    """The pair's only mismatching rows lie past the first SEC_CHUNK sampled
+    rows: the check builds exactly the chunks up to the one that refutes
+    it, and its counterexample, indexed within that chunk, replays."""
     golden_src, candidate_src = BOUNDED_NONEQUIVALENT_PAIRS[1]
     golden, candidate = parse(golden_src), parse(candidate_src)
     upper = 0xB0BF  # the candidate's constant
-    ref = GoldenSec(golden).reference(2)
-    hits = np.flatnonzero(np.logical_or.reduce(
-        [vec["x"] >> np.uint64(16) == upper for vec in ref.inputs]))
-    assert hits.size and hits[0] >= SEC_CHUNK
-    verdict = check_equivalence(golden, candidate, bcfg)
+    sec = GoldenSec(golden)
+    verdict = check_equivalence(golden, candidate, bcfg, sec)
     assert verdict.mode == SEC_BOUNDED and not verdict.passed
     _assert_replays(golden, candidate, verdict.counterexample)
     assert any(vec["x"] >> 16 == upper for vec in verdict.counterexample.input_trace)
+    ref = sec.reference(2)
+    hits = [bool(np.logical_or.reduce([vec["x"] >> np.uint64(16) == upper
+                                       for vec in inputs]).any())
+            for inputs, _ in ref.chunks]
+    assert len(ref.chunks) > 2 and hits[-1] and not any(hits[:-1])
+    assert len(ref.chunks) < len(ref.edges) - 1
+    assert not _is_fresh(ref.rng)
+
+
+def test_chunks_do_not_depend_on_the_check_that_built_them():
+    """Chunk k holds the same stimulus and golden traces whether a passing
+    check built every chunk or a failing one stopped at k."""
+    golden_src, candidate_src = BOUNDED_NONEQUIVALENT_PAIRS[1]
+    golden = parse(golden_src)
+    passing, stopped = GoldenSec(golden), GoldenSec(golden)
+    assert simulate_equivalence(golden, parse(golden_src), passing).passed
+    assert not simulate_equivalence(golden, parse(candidate_src), stopped).passed
+    built = passing.reference(2).chunks
+    assert len(built) == len(passing.reference(2).edges) - 1
+    assert 1 < len(stopped.reference(2).chunks) < len(built)
+    for (inputs, outputs), (same_inputs, same_outputs) in zip(
+            built, stopped.reference(2).chunks):
+        for vectors, same in ((inputs, same_inputs), (outputs, same_outputs)):
+            for vec, other in zip(vectors, same, strict=True):
+                assert vec.keys() == other.keys()
+                for name in vec:
+                    assert vec[name].dtype == other[name].dtype
+                    assert np.array_equal(vec[name], other[name])
+
+
+CONSTANT_GOLDEN = "module m(input [31:0] a, input [31:0] b, output [31:0] y); " \
+                  "assign y = a + b; endmodule"
+
+
+def test_candidate_only_constants_get_directed_rows(bcfg):
+    """A candidate that differs only where an input equals a constant the
+    golden lacks is refuted by the check's own constant chunk, which is not
+    kept: the reference holds chunk 0 alone and the generator is undrawn."""
+    golden = parse(CONSTANT_GOLDEN)
+    candidate = parse(CONSTANT_GOLDEN.replace(
+        "a + b", "(a == 32'd3735928559) ? (a - b) : (a + b)"))
+    sec = GoldenSec(golden)
+    verdict = check_equivalence(golden, candidate, bcfg, sec)
+    assert verdict.mode == SEC_BOUNDED and not verdict.passed
+    _assert_replays(golden, candidate, verdict.counterexample)
+    assert 3735928559 in {v["a"] for v in verdict.counterexample.input_trace}
+    ref = sec.reference(2)
+    assert len(ref.chunks) == 1 and _is_fresh(ref.rng)
+    # An equivalent candidate with its own constants still passes, and the
+    # constant chunk leaves every later chunk as an unchecked one builds it.
+    same = parse(CONSTANT_GOLDEN.replace("a + b", "(a + 32'd7) + (b - 32'd7)"))
+    assert simulate_equivalence(golden, same, sec) == SecVerdict(True, SEC_BOUNDED)
+    fresh = GoldenSec(golden).reference(2)
+    for k, (inputs, _) in enumerate(ref.chunks):
+        assert all(np.array_equal(vec[n], fresh.chunk(k)[0][f][n])
+                   for f, vec in enumerate(inputs) for n in vec)
 
 
 def test_context_reuses_stimulus_and_golden_traces(bcfg):
@@ -227,22 +317,33 @@ def test_context_reuses_stimulus_and_golden_traces(bcfg):
 
 
 def test_context_builds_each_reference_once_per_frame_count(monkeypatch):
-    """Only the first check at a frame count simulates the golden; later
-    ones at that count get the same reference object."""
+    """Later requests for a frame count get the same reference object, and
+    each of its chunks' golden traces is simulated once, when the chunk is
+    first asked for; asking for chunk k builds the chunks before it."""
     golden = parse(CHAIN_ADDER_8)
     sec = GoldenSec(golden)
     real_run = CompiledDesign.run
     sims = []
 
     def counting_run(self, input_arrays, frames):
-        sims.append(frames)
+        sims.append((frames, input_arrays))
         return real_run(self, input_arrays, frames)
 
     monkeypatch.setattr(CompiledDesign, "run", counting_run)
     refs = [sec.reference(frames) for frames in [2, 2, 2, 2, 3]]
-    assert sims == [2, 3]
+    assert sims == []
     assert all(ref is refs[0] for ref in refs[:4])
     assert refs[4] is not refs[0]
+    for ref in refs:
+        ref.chunk(1)
+    assert [frames for frames, _ in sims] == [2, 2, 3, 3]
+    for ref in refs:
+        for k in range(len(ref.edges) - 1):
+            ref.chunk(k)
+    for ref in (refs[0], refs[4]):
+        golden_inputs = [inputs for frames, inputs in sims if frames == ref.frames]
+        assert len(golden_inputs) == len(ref.edges) - 1 == len(ref.chunks)
+        assert all(a is b for a, (b, _) in zip(golden_inputs, ref.chunks, strict=True))
 
 
 @pytest.mark.parametrize("golden_src,candidate_src",
