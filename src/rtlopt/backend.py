@@ -130,10 +130,10 @@ class SecVerdict:
 
 @dataclass(frozen=True)
 class EvalResult(Record):
+    """A candidate's stored outcome; ``evaluate`` returns its report beside it."""
     metrics: PpaMetrics
     sec_pass: bool
     sec_mode: str
-    timing_report: TimingReport
 
 
 @dataclass(frozen=True)
@@ -457,11 +457,12 @@ def simulate_equivalence(golden: RtlDesign, candidate: RtlDesign,
     return SecVerdict(True, ref.mode)
 
 
-def evaluate(design: RtlDesign, config: BackendConfig, sec: GoldenSec) -> EvalResult:
+def evaluate(design: RtlDesign, config: BackendConfig,
+             sec: GoldenSec) -> tuple[EvalResult, TimingReport]:
     """Synthesize, then check equivalence against the SEC context's golden."""
     metrics, report = synthesize(design, config)
     verdict = check_equivalence(sec.golden, design, config, sec)
-    return EvalResult(metrics, verdict.passed, verdict.mode, report)
+    return EvalResult(metrics, verdict.passed, verdict.mode), report
 
 
 # --- external toolchain ----------------------------------------------------

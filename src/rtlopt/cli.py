@@ -131,7 +131,7 @@ def cmd_eval(args) -> int:
     try:
         if args.golden:
             sec = be.GoldenSec(_load_design(args.golden))
-            result = be.evaluate(design, config.backend, sec)
+            result, _ = be.evaluate(design, config.backend, sec)
             payload = {**result.metrics.to_dict(), "sec_pass": result.sec_pass,
                        "sec_mode": result.sec_mode}
         else:

@@ -76,15 +76,11 @@ class BaselineEvaluationError(Exception):
 
 
 def _pct(value: float, baseline: float) -> float:
+    # Table-style deltas: a negative percentage means WNS/TNS moved from a
+    # violated baseline toward zero, or area shrank.
     if abs(baseline) < 1e-9:
         return 0.0
-    return (value - baseline) / abs(baseline) * 100.0 * _sign_for_report(baseline)
-
-
-def _sign_for_report(baseline: float) -> float:
-    # Table-style deltas: negative percentage always means "improved",
-    # i.e. WNS/TNS moved toward zero or area shrank.
-    return -1.0 if baseline < 0 else 1.0
+    return (value - baseline) / baseline * 100.0
 
 
 # Serial. With width-typed simulation a builtin check is a run of short numpy
@@ -97,7 +93,8 @@ def _sign_for_report(baseline: float) -> float:
 def evaluate_group(proposals: list[Proposal], sec: be.GoldenSec,
                    config: be.BackendConfig):
     """Evaluate candidates one after another against ``sec.golden``, the
-    run's original design; failures isolate to their slot."""
+    run's original design; failures isolate to their slot. Each slot holds
+    None (skipped), the exception, or ``be.evaluate``'s (result, report)."""
 
     def one(proposal: Proposal):
         if proposal.skipped:
@@ -155,6 +152,7 @@ def run(design: RtlDesign, config: RunConfig, out_dir: str,
 
         iteration = store.begin_iteration(current_id, len(proposals), diagnoses)
         records: list[CandidateRecord] = []
+        reports = {}  # candidate id -> timing report, kept for the next diagnosis
         for i, (proposal, result) in enumerate(zip(proposals, results)):
             candidate_id = f"t{t}c{i}"
             if proposal.skipped:
@@ -164,8 +162,7 @@ def run(design: RtlDesign, config: RunConfig, out_dir: str,
             else:
                 record = CandidateRecord(
                     candidate_id, store.save_design(proposal.design.source),
-                    proposal.provenance, skill_id=proposal.skill_id,
-                    strategy=proposal.strategy,
+                    proposal.provenance, strategy=proposal.strategy,
                     path=(None if proposal.diagnosis is None
                           else diagnoses.index(proposal.diagnosis)),
                     note=proposal.rationale)
@@ -173,8 +170,8 @@ def run(design: RtlDesign, config: RunConfig, out_dir: str,
                     record.status = CANDIDATE_EVAL_ERROR
                     record.note = str(result)
                 else:
-                    record.eval = result
-                    record.score = score(result.metrics, baseline_metrics,
+                    record.eval, reports[candidate_id] = result
+                    record.score = score(record.eval.metrics, baseline_metrics,
                                          config.weights)
             records.append(record)
             store.record_candidate(iteration, record)
@@ -191,7 +188,7 @@ def run(design: RtlDesign, config: RunConfig, out_dir: str,
             current_id = selected.design_ref
             current = parse(store.load_design_source(selected.design_ref),
                             filename=design.filename)
-            current_report = selected.eval.timing_report
+            current_report = reports[selected.candidate_id]
 
     state.status = STATUS_BUDGET
     store.persist()

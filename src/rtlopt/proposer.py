@@ -65,7 +65,6 @@ class Proposal:
     provenance: str                     # skill-guided | rule | llm | skipped
     strategy: str | None
     diagnosis: BottleneckDiagnosis | None
-    skill_id: str | None = None
     rationale: str = ""
 
     @property
@@ -95,16 +94,14 @@ def propose_group(parent: RtlDesign, diagnoses: list[BottleneckDiagnosis],
     tried: set[tuple[str | None, str]] = set()  # (pattern, strategy)
 
     def emit(design: RtlDesign, provenance: str, strategy, diagnosis,
-             skill_id=None, rationale="") -> bool:
+             rationale="") -> bool:
         if design.source in seen_sources:
             return False
         seen_sources.add(design.source)
-        proposals.append(Proposal(design, provenance, strategy, diagnosis,
-                                  skill_id=skill_id, rationale=rationale))
+        proposals.append(Proposal(design, provenance, strategy, diagnosis, rationale))
         return True
 
-    def attempt(strategy: str, diagnosis, provenance: str, skill_id=None,
-                rationale="") -> bool:
+    def attempt(strategy: str, diagnosis, provenance: str, rationale="") -> bool:
         key = (diagnosis.pattern if diagnosis else None, strategy)
         if key in tried:
             return False
@@ -113,7 +110,7 @@ def propose_group(parent: RtlDesign, diagnoses: list[BottleneckDiagnosis],
             design = apply_strategy(parent, strategy, _region_of(diagnosis))
         except NotApplicable:
             return False
-        return emit(design, provenance, strategy, diagnosis, skill_id, rationale)
+        return emit(design, provenance, strategy, diagnosis, rationale)
 
     diag_list = list(diagnoses) if diagnoses else [None]
 
@@ -129,11 +126,9 @@ def propose_group(parent: RtlDesign, diagnoses: list[BottleneckDiagnosis],
             cursor += 1
             while queue:
                 skill, diagnosis = queue.pop(0)
-                if attempt(skill.strategy, diagnosis, PROVENANCE_SKILL, skill.skill_id,
+                if attempt(skill.strategy, diagnosis, PROVENANCE_SKILL,
                            f"library {skill.tier}-tier match for {diagnosis.pattern}"):
                     break
-            if not any(queues):
-                break
 
     # Exploration: catalog strategies not yet tried on the pattern, or the LLM.
     explore_cursor = 0

@@ -45,7 +45,8 @@ class CandidateScore(Record):
 
 
 @dataclass(frozen=True)
-class GroupStats(Record):
+class GroupStats:
+    """Not stored: each advantage is written onto its passing candidate."""
     mean: float
     stddev: float  # population
     advantages: tuple[float, ...]

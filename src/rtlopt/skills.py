@@ -89,7 +89,6 @@ def assign_tier(skill: Skill) -> str:
 @dataclass
 class SkillLibrary:
     entries: dict = field(default_factory=dict)  # (pattern, strategy) -> Skill
-    version: int = SCHEMA_VERSION
     provenance: list = field(default_factory=list)       # contributing run ids
     distilled_iterations: list = field(default_factory=list)  # [run_id, t] keys
 
@@ -101,7 +100,7 @@ class SkillLibrary:
 
     def to_dict(self) -> dict:
         return {
-            "version": self.version,
+            "version": SCHEMA_VERSION,
             "provenance": sorted(self.provenance),
             "distilled_iterations": sorted(map(list, self.distilled_iterations)),
             "entries": [s.to_dict() for s in self.sorted_entries()],
@@ -111,7 +110,7 @@ class SkillLibrary:
     def from_dict(cls, d: dict) -> "SkillLibrary":
         if d.get("version") != SCHEMA_VERSION:
             raise SkillError(f"unsupported skill schema version {d.get('version')!r}")
-        lib = cls(version=d["version"], provenance=list(d.get("provenance", [])),
+        lib = cls(provenance=list(d.get("provenance", [])),
                   distilled_iterations=[tuple(k) for k in d.get("distilled_iterations", [])])
         for entry in d["entries"]:
             skill = Skill.from_dict(entry)
@@ -195,8 +194,6 @@ def merge(libraries: list[SkillLibrary]) -> SkillLibrary:
     """Combine libraries: counts sum, means combine pass-count-weighted."""
     merged = SkillLibrary()
     for lib in libraries:
-        if lib.version != SCHEMA_VERSION:
-            raise SkillError(f"cannot merge schema version {lib.version}")
         for run_id in lib.provenance:
             if run_id not in merged.provenance:
                 merged.provenance.append(run_id)

@@ -5,7 +5,10 @@ types here are also the canonical interchange schema that external tool
 adapters must normalize into:
 
     {clock_ns, endpoints: [{startpoint, endpoint, slack_ns,
-                            stages: [{node, op, delay_ns, loc: {file, line}}]}]}
+                            stages: [{node, op, delay_ns, width?,
+                                      loc: {file, line, col?}}]}]}
+
+where a stage's ``width`` (default 1) and ``col`` (default 0) may be absent.
 """
 
 from __future__ import annotations
@@ -51,12 +54,18 @@ class Stage(Record):
 
     def to_dict(self) -> dict:
         return {"node": self.node, "op": self.op, "delay_ns": self.delay_ns,
-                "loc": {"file": self.file, "line": self.line}}
+                "width": self.width,
+                "loc": {"file": self.file, "line": self.line, "col": self.col}}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Stage":
-        return cls(node=d["node"], op=d["op"], delay_ns=d["delay_ns"],
-                   file=d["loc"]["file"], line=d["loc"]["line"])
+        loc = d["loc"]
+        unknown = ({*d} - {"node", "op", "delay_ns", "width", "loc"}
+                   | {*loc} - {"file", "line", "col"})
+        if unknown:  # a misspelt width would silently read as 1
+            raise TypeError(f"Stage: unknown keys {sorted(unknown)}")
+        return cls(node=d["node"], op=d["op"], delay_ns=d["delay_ns"], file=loc["file"],
+                   line=loc["line"], col=loc.get("col", 0), width=d.get("width", 1))
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,13 @@ Layer 1 is the iteration round with its diagnosed critical paths, layer 2
 the parallel candidate group with PPA/SEC results, and layer 3 each
 candidate's path record: the catalog strategy it applied and the index of
 the diagnosed path it targeted. Each fact is stored once: the iteration
-holds the diagnoses its candidates share, and a candidate's outcome is its
-own SEC verdict. State persists as canonical JSON (sorted keys, compact
-separators, shortest round-trip floats) so identical runs produce byte-
-identical files; design snapshots are stored content-addressed next to it.
+holds the diagnoses its candidates share, a candidate's outcome is its own
+metrics and SEC verdict, and each passing candidate holds its advantage.
+No timing report is stored: the diagnosed paths are what the loop used of
+them. A candidate's skill is (its path's pattern, its strategy). State
+persists as canonical JSON (sorted keys, compact separators, shortest
+round-trip floats) so identical runs produce byte-identical files; design
+snapshots are stored content-addressed next to it.
 
 The store has one writer: the loop's own thread records every iteration
 after the group's evaluation has returned, so it holds no lock. ``state.json``
@@ -58,7 +61,6 @@ class CandidateRecord(Record):
     candidate_id: str
     design_ref: str            # content hash of the candidate source
     proposer_kind: str         # "skill-guided" | "llm" | "rule"
-    skill_id: str | None = None
     strategy: str | None = None  # catalog key; None for LLM and skipped slots
     path: int | None = None      # index into the iteration's diagnoses
     eval: EvalResult | None = None
@@ -79,7 +81,6 @@ class IterationRecord(Record):
     group_size: int
     diagnoses: list[BottleneckDiagnosis] = field(default_factory=list)  # top-k paths
     candidates: list[CandidateRecord] = field(default_factory=list)
-    group_stats: GroupStats | None = None
     selected: str | None = None
     finalized: bool = False
 
@@ -201,7 +202,6 @@ class TrajectoryStore:
         if stats.advantages and len(stats.advantages) == len(passers):
             for cand, adv in zip(passers, stats.advantages):
                 cand.advantage = adv
-        iteration.group_stats = stats
         iteration.selected = selected
         iteration.finalized = True
         self._encoded[iteration.index] = canonical_json(iteration.to_dict())

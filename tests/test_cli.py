@@ -9,7 +9,9 @@ import pytest
 
 from corpus import CHAIN_ADDER_8
 from rtlopt import cli
+from rtlopt.backend import BackendConfig, synthesize
 from rtlopt.cli import ConfigError, load_config, main
+from rtlopt.dsl import parse
 
 
 @pytest.fixture
@@ -315,11 +317,37 @@ with open(os.path.join(os.path.dirname(__file__), "fixtures",
     OLD_SCHEMA_STATE = _fh.read()
 
 
+def _parent_schema_state(design_file, tmp_path) -> str:
+    """A fresh run's state.json with what the previous schema also stored put
+    back: each eval's timing report, each iteration's group stats and each
+    candidate's skill id."""
+    with open(os.path.join(_finished_run(design_file, tmp_path), "state.json")) as fh:
+        state = json.load(fh)
+    report = synthesize(parse(CHAIN_ADDER_8, "chain.rtl"), BackendConfig())[1].to_dict()
+    for it in state["iterations"]:
+        passers = [c for c in it["candidates"] if c["advantage"] is not None]
+        it["group_stats"] = {"mean": 0.0, "stddev": 0.0,
+                             "advantages": [c["advantage"] for c in passers]}
+        for cand in it["candidates"]:
+            cand["skill_id"] = None
+            if cand["eval"] is not None:
+                cand["eval"]["timing_report"] = report
+    return json.dumps(state)
+
+
+STATE_PAYLOADS = {
+    "truncated": lambda design_file, tmp_path: OLD_SCHEMA_STATE[:1000],
+    "old-schema": lambda design_file, tmp_path: OLD_SCHEMA_STATE,
+    "parent-schema": _parent_schema_state,
+}
+
+
 @pytest.mark.parametrize("command", ["show", "report"])
-@pytest.mark.parametrize("payload", [OLD_SCHEMA_STATE[:1000], OLD_SCHEMA_STATE],
-                         ids=["truncated", "old-schema"])
-def test_unreadable_state_is_one_line_error(tmp_path, capsys, command, payload):
-    (tmp_path / "state.json").write_text(payload)
+@pytest.mark.parametrize("make_payload", STATE_PAYLOADS.values(), ids=STATE_PAYLOADS.keys())
+def test_unreadable_state_is_one_line_error(design_file, tmp_path, capsys, command,
+                                            make_payload):
+    (tmp_path / "state.json").write_text(make_payload(design_file, tmp_path))
+    capsys.readouterr()
     assert main([command, "--run", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""

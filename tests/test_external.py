@@ -26,7 +26,7 @@ from rtlopt.backend import (
 from rtlopt.dsl import parse
 from rtlopt.orchestrator import RunConfig, run
 from rtlopt.proposer import ProposerConfig
-from rtlopt.timing import Stage, TimingPath, TimingReport
+from rtlopt.timing import Stage, TimingPath, TimingReport, diagnose, select_critical_paths
 from rtlopt.trajectory import RunState
 
 PATTERNS = {"wns": r"wns\s+(-?\d+\.\d+)",
@@ -165,14 +165,26 @@ def test_external_synthesize_reads_interchange_timing_report(tmp_path):
     assert report == TimingReport(0.1, (TimingPath("a", "y", -0.05, (
         Stage("u1", "add", 0.12, "chain.rtl", 3),
         Stage("u2", "add", 0.03, "chain.rtl", 4))),))
-    assert report.to_dict() == INTERCHANGE_REPORT
+    # Written back, each stage gains its default width and column.
+    written = report.to_dict()
+    for stage in written["endpoints"][0]["stages"]:
+        assert stage.pop("width") == 1 and stage["loc"].pop("col") == 0
+    assert written == INTERCHANGE_REPORT
+
+
+_STAGE = INTERCHANGE_REPORT["endpoints"][0]["stages"][0]
 
 
 @pytest.mark.parametrize("report", [
     {**INTERCHANGE_REPORT, "wns": -0.05},
     {"clock_ns": 0.1},
     {"clock_ns": 0.1, "endpoints": [{"startpoint": "a"}]},
-], ids=["unknown-key", "missing-endpoints", "missing-path-keys"])
+    {"clock_ns": 0.1, "endpoints": [{**INTERCHANGE_REPORT["endpoints"][0],
+                                     "stages": [{**_STAGE, "wdith": 16}]}]},
+    {"clock_ns": 0.1, "endpoints": [{**INTERCHANGE_REPORT["endpoints"][0], "stages": [
+        {**_STAGE, "loc": {**_STAGE["loc"], "column": 7}}]}]},
+], ids=["unknown-key", "missing-endpoints", "missing-path-keys", "unknown-stage-key",
+        "unknown-loc-key"])
 def test_external_synthesize_rejects_report_off_schema(tmp_path, report):
     with pytest.raises(BackendError, match="interchange schema"):
         synthesize(parse(CHAIN_ADDER_8), _report_flow(tmp_path, report))
@@ -242,15 +254,34 @@ def test_external_default_clock_is_tighter():
     assert external.clock_period == 0.1
 
 
+def _fake_eda_backend() -> BackendConfig:
+    """The external backend on ``fake_eda.py``, at the builtin clock."""
+    tool = f"{shlex.quote(sys.executable)} {shlex.quote(str(Path(__file__).with_name('fake_eda.py')))}"
+    return BackendConfig(kind="external", clock_period=0.5, external=ExternalConfig(
+        synth_command_template=f"{tool} synth {{design_dir}} {{top}} {{clock_ns}}",
+        sec_command_template=f"{tool} sec {{design_dir}}",
+        metric_patterns=FAKE_EDA_PATTERNS, report_files=("timing_report.json",)))
+
+
+def test_tool_report_diagnoses_as_the_builtin_backend_does():
+    """Stage widths and columns survive the interchange schema, so the tool's
+    report of a design is the builtin one, and gives the same root causes
+    and regions."""
+    design = parse(CHAIN_ADDER_8, "chain.rtl")
+    reports = [synthesize(design, backend)[1]
+               for backend in (_fake_eda_backend(), BackendConfig(clock_period=0.5))]
+    tool, builtin = [[(d.root_cause, d.rtl_region) for d in
+                      (diagnose(p, design) for p in select_critical_paths(report, 3))]
+                     for report in reports]
+    assert tool == builtin and builtin[0][0] == "wide-arithmetic"
+    assert reports[0] == reports[1]
+
+
 def test_closed_loop_through_external_tools(tmp_path):
     """The loop runs end to end on a toolchain of in-repo scripts: every check
     is the tool's verdict, its interchange report maps paths to exact lines,
     and the loop still cuts WNS."""
-    tool = f"{shlex.quote(sys.executable)} {shlex.quote(str(Path(__file__).with_name('fake_eda.py')))}"
-    backend = BackendConfig(kind="external", clock_period=0.5, external=ExternalConfig(
-        synth_command_template=f"{tool} synth {{design_dir}} {{top}} {{clock_ns}}",
-        sec_command_template=f"{tool} sec {{design_dir}}",
-        metric_patterns=FAKE_EDA_PATTERNS, report_files=("timing_report.json",)))
+    backend = _fake_eda_backend()
     config = RunConfig(iterations=2, candidates=2, backend=backend,
                        proposer=ProposerConfig(n_candidates=2))
     result = run(parse(CHAIN_ADDER_8, "chain.rtl"), config, str(tmp_path))

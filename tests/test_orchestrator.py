@@ -110,7 +110,8 @@ def test_evaluate_group_isolates_failures(bcfg):
         Proposal(None, "skipped", None, None),
     ]
     results = evaluate_group(proposals, GoldenSec(design), bcfg)
-    assert results[0].sec_pass
+    result, report = results[0]
+    assert result.sec_pass and report.endpoints
     assert isinstance(results[1], Exception)
     assert results[2] is None
 

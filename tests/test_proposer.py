@@ -34,8 +34,9 @@ def test_group_size_and_slot_split(bcfg):
     skill_guided = [p for p in proposals if p.provenance == "skill-guided"]
     # ceil(0.6 * 5) = 3 exploitation slots, limited by applicable matches
     assert 1 <= len(skill_guided) <= 3
+    # The library entry it applied is (its diagnosis's pattern, its strategy).
     assert skill_guided[0].strategy == "tree-rebalance"
-    assert skill_guided[0].skill_id == "wide-arithmetic::tree-rebalance"
+    assert skill_guided[0].diagnosis.pattern == "wide-arithmetic"
 
 
 def test_exploration_only_with_empty_library(bcfg):

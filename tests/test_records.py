@@ -7,7 +7,7 @@ import pytest
 from rtlopt.backend import BackendConfig, EvalResult, ExternalConfig, PpaMetrics
 from rtlopt.orchestrator import RunConfig
 from rtlopt.proposer import LlmSettings, ProposerConfig
-from rtlopt.scoring import CandidateScore, GroupStats, ScoreWeights
+from rtlopt.scoring import CandidateScore, ScoreWeights
 from rtlopt.skills import Skill
 from rtlopt.timing import (
     BottleneckDiagnosis,
@@ -32,19 +32,17 @@ REPORT = TimingReport(0.5, (PATH, TimingPath("b", "z", 0.1, ())))
 REGION = RtlRegion("d.rtl", 3, 5, "exact")
 DIAGNOSIS = BottleneckDiagnosis(PATH, "wide-arithmetic", "wide-arithmetic", REGION,
                                 "2 adds of width 8")
-EVAL = EvalResult(METRICS, True, "exhaustive", REPORT)
+EVAL = EvalResult(METRICS, True, "exhaustive")
 SCORE = CandidateScore(-0.5, -0.25, 0.0, 0.0, -0.3375)
-STATS = GroupStats(-0.3, 0.05, (-1.0, 1.0))
 
-OK = CandidateRecord("t0c0", "abc123", "skill-guided", skill_id="wide-arithmetic::x",
-                     strategy="tree-rebalance", path=0, eval=EVAL, score=SCORE,
-                     advantage=-1.0, note="rebalanced")
+OK = CandidateRecord("t0c0", "abc123", "skill-guided", strategy="tree-rebalance",
+                     path=0, eval=EVAL, score=SCORE, advantage=-1.0, note="rebalanced")
 SKIPPED = CandidateRecord("t0c1", "", "rule", status=CANDIDATE_SKIPPED,
                           note="no applicable strategy")
 EVAL_ERROR = CandidateRecord("t0c2", "def456", "llm", path=1,
                              status=CANDIDATE_EVAL_ERROR, note="synthesis exited 1")
 ITERATION = IterationRecord(0, "root", 3, [DIAGNOSIS, DIAGNOSIS],
-                            [OK, SKIPPED, EVAL_ERROR], STATS, "t0c0", True)
+                            [OK, SKIPPED, EVAL_ERROR], "t0c0", True)
 OPEN_ITERATION = IterationRecord(1, "abc123", 2, [DIAGNOSIS])
 
 EXTERNAL = ExternalConfig("synth {top}", "sec {design_dir}",
@@ -55,13 +53,13 @@ LLM = LlmSettings("http://127.0.0.1:1", "m", timeout_s=5.0, max_retries=0)
 RECORDS = {
     "metrics": METRICS,
     "stage": PATH.stages[0],
+    "stage-wide": Stage("add_3_14", "add", 0.37, "d.rtl", 3, col=14, width=16),
     "path": PATH,
     "report": REPORT,
     "region": REGION,
     "diagnosis": DIAGNOSIS,
     "eval": EVAL,
     "score": SCORE,
-    "group-stats": STATS,
     "candidate-ok": OK,
     "candidate-skipped": SKIPPED,
     "candidate-eval-error": EVAL_ERROR,
@@ -95,8 +93,8 @@ def test_round_trip_through_json(record):
 
 def test_stage_keeps_the_interchange_form():
     assert PATH.stages[0].to_dict() == {
-        "node": "add_3_14", "op": "add", "delay_ns": 0.21,
-        "loc": {"file": "d.rtl", "line": 3}}
+        "node": "add_3_14", "op": "add", "delay_ns": 0.21, "width": 1,
+        "loc": {"file": "d.rtl", "line": 3, "col": 0}}
 
 
 def test_complete_record_writes_none_fields():

@@ -15,7 +15,7 @@ from rtlopt.skills import (
     match,
     merge,
 )
-from rtlopt.timing import BottleneckDiagnosis, RtlRegion, TimingPath, TimingReport
+from rtlopt.timing import BottleneckDiagnosis, RtlRegion, TimingPath
 from rtlopt.trajectory import CandidateRecord, IterationRecord
 
 
@@ -33,8 +33,7 @@ def _cand(cid, pattern, strategy, advantage, sec_pass=True, status="ok"):
     return CandidateRecord(
         candidate_id=cid, design_ref="x" * 16, proposer_kind="rule",
         strategy=strategy, path=_PATTERNS.index(pattern),
-        eval=EvalResult(PpaMetrics(-0.1, -0.1, 96.0), sec_pass, "exhaustive",
-                        TimingReport(clock_ns=0.5, endpoints=())),
+        eval=EvalResult(PpaMetrics(-0.1, -0.1, 96.0), sec_pass, "exhaustive"),
         score=CandidateScore(0, 0, 0, 0, -0.1),
         advantage=advantage if sec_pass else None,
         status=status, note=f"apply {strategy}")

@@ -1,5 +1,8 @@
 """Three-layer trajectory store: persistence, validation, derived metrics."""
 
+import json
+import os
+
 import pytest
 
 from corpus import CHAIN_ADDER_8
@@ -11,7 +14,6 @@ from rtlopt.timing import (
     BottleneckDiagnosis,
     RtlRegion,
     TimingPath,
-    TimingReport,
 )
 from rtlopt.trajectory import (
     CandidateRecord,
@@ -29,8 +31,7 @@ from rtlopt.trajectory import (
 
 
 def _eval(sec_pass=True):
-    return EvalResult(PpaMetrics(-0.1, -0.1, 96.0), sec_pass, "exhaustive",
-                      TimingReport(clock_ns=0.5, endpoints=()))
+    return EvalResult(PpaMetrics(-0.1, -0.1, 96.0), sec_pass, "exhaustive")
 
 
 def _cscore(value):
@@ -170,6 +171,26 @@ def test_run_writes_state_once_per_finalized_iteration(tmp_path, monkeypatch):
     assert len(writes) == iterations + 2
     assert writes == [(i, "running") for i in range(iterations + 1)] + [
         (iterations, "budget-exhausted")]
+
+
+def test_run_stores_each_fact_once(tmp_path):
+    """A finished run's state.json keeps no timing reports, group stats or
+    skill ids; every stored stage carries its width and column."""
+    result = run(parse(CHAIN_ADDER_8, "chain.rtl"), RunConfig(iterations=3),
+                 str(tmp_path))
+    with open(os.path.join(result.run_dir, "state.json")) as fh:
+        state = json.load(fh)
+    evals = [c["eval"] for it in state["iterations"] for c in it["candidates"]
+             if c["eval"] is not None]
+    assert evals and all(e.keys() == {"metrics", "sec_pass", "sec_mode"} for e in evals)
+    assert all(it.keys() == {"index", "parent_id", "group_size", "diagnoses",
+                             "candidates", "selected", "finalized"}
+               for it in state["iterations"])
+    assert all("skill_id" not in c for it in state["iterations"] for c in it["candidates"])
+    stages = [s for it in state["iterations"] for d in it["diagnoses"]
+              for s in d["path"]["stages"]]
+    assert stages and all(s.keys() == {"node", "op", "delay_ns", "width", "loc"}
+                          and s["loc"].keys() == {"file", "line", "col"} for s in stages)
 
 
 def test_best_so_far_series():
