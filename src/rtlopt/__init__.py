@@ -12,7 +12,7 @@ from .dsl import RtlDesign, RtlError, parse, print_design, simulate
 from .orchestrator import RunConfig, RunResult, run
 from .proposer import Proposal, ProposerConfig, propose_group
 from .rewrites import NotApplicable, apply_strategy
-from .scoring import CandidateScore, GroupStats, ScoreWeights, group_advantage, score
+from .scoring import CandidateScore, ScoreWeights, group_advantage, score
 from .skills import Skill, SkillLibrary, assign_tier, distill, match, merge
 from .timing import (
     BottleneckDiagnosis,

@@ -166,21 +166,17 @@ class ExternalConfig(Settings):
 
 @dataclass(frozen=True)
 class BackendConfig(Settings):
-    kind: str = "builtin"  # "builtin" | "external"
-    clock_period: float | None = None  # None -> per-kind default
+    """The builtin backend, or the external one when ``external`` is given."""
+    clock_period: float | None = None  # None -> the backend's default
     external: ExternalConfig | None = None
 
     def __post_init__(self):
         if self.clock_period is None:
-            default = (EXTERNAL_DEFAULT_CLOCK_NS if self.kind == "external"
+            default = (EXTERNAL_DEFAULT_CLOCK_NS if self.external is not None
                        else DEFAULT_CLOCK_NS)
             object.__setattr__(self, "clock_period", default)
         if self.clock_period <= 0:
             raise ValueError("clock_period must be > 0")
-        if self.kind not in ("builtin", "external"):
-            raise ValueError(f"unknown backend kind {self.kind!r}")
-        if self.kind == "external" and self.external is None:
-            raise ValueError("backend kind 'external' needs an 'external' section")
 
 
 # --- builtin static timing analysis ---------------------------------------
@@ -216,7 +212,7 @@ def _arrival(expr: Expr, locs: tuple[tuple[int, int], ...],
 
 
 def synthesize(design: RtlDesign, config: BackendConfig) -> tuple[PpaMetrics, TimingReport]:
-    if config.kind == "external":
+    if config.external is not None:
         return _external_synthesize(design, config)
     return _builtin_synthesize(design, config.clock_period)
 
@@ -408,7 +404,7 @@ def check_equivalence(golden: RtlDesign, candidate: RtlDesign,
             f"port interfaces differ: {golden.port_signature()} vs "
             f"{candidate.port_signature()}")
 
-    if config.kind == "external":
+    if config.external is not None:
         return _external_sec(golden, candidate, config)
 
     if sec is None:

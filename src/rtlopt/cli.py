@@ -4,8 +4,9 @@ Configuration is a single JSON object with sections backend / proposer /
 scoring / run, each a JSON object; every default matches the built-in
 evaluation setup so an empty config file is a valid run.
 
-Exit codes: 0 success, 1 configuration error, 2 baseline evaluation failure,
-3 internal error (an exception no command maps, reported on one stderr line).
+Exit codes: 0 success, 1 usage or configuration error, 2 baseline evaluation
+failure, 3 internal error (an exception no command maps, reported on one
+stderr line).
 An external backend is checked when the config is loaded (exit 1); a tool
 that fails or times out during ``eval`` or a baseline evaluation exits 2.
 """
@@ -195,16 +196,12 @@ def cmd_skills(args) -> int:
     try:
         if args.action == "list":
             library = sk.import_library(args.library) if args.library else sk.SkillLibrary()
-            by_tier: dict[str, list] = {}
-            for skill in library.sorted_entries():
-                by_tier.setdefault(skill.tier, []).append(skill)
-            for tier in (sk.TIER_HIGH, sk.TIER_MEDIUM, sk.TIER_LOW, sk.TIER_AVOID):
-                for skill in by_tier.get(tier, []):
-                    rate = (skill.sec_pass_count / skill.occurrence_count
-                            if skill.occurrence_count else 0.0)
-                    print(f"{tier:<8}{skill.pattern:<24}{skill.strategy:<32}"
-                          f"occ={skill.occurrence_count:<4}pass={rate:.2f} "
-                          f"adv={skill.mean_advantage:+.3f}")
+            for skill in sorted(library.sorted_entries(), key=lambda s: sk.TIERS.index(s.tier)):
+                rate = (skill.sec_pass_count / skill.occurrence_count
+                        if skill.occurrence_count else 0.0)
+                print(f"{skill.tier:<8}{skill.pattern:<24}{skill.strategy:<32}"
+                      f"occ={skill.occurrence_count:<4}pass={rate:.2f} "
+                      f"adv={skill.mean_advantage:+.3f}")
             return EXIT_OK
         if args.action == "export":
             library = sk.import_library(args.library)
@@ -260,8 +257,17 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is one stderr line and exit 1 (argparse's 2 means a failed
+    baseline here); subcommand parsers are built from this class too."""
+
+    def error(self, message):
+        print(f"error: {self.prog}: {message}", file=sys.stderr)
+        sys.exit(EXIT_CONFIG)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rtlopt",
         description="Closed-loop RTL timing optimization with a reusable skill library.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -176,11 +176,10 @@ def run(design: RtlDesign, config: RunConfig, out_dir: str,
             records.append(record)
             store.record_candidate(iteration, record)
 
-        passer_scores = [r.score.score for r in records if r.sec_pass]
-        stats = group_advantage(passer_scores)
+        advantages = group_advantage([r.score.score for r in records if r.sec_pass])
         selected = select_next([r for r in records if r.status == CANDIDATE_OK])
         selected_id = selected.candidate_id if selected is not None else None
-        store.finalize_iteration(iteration, stats, selected_id)
+        store.finalize_iteration(iteration, advantages, selected_id)
 
         distill(iteration, library, run_id=run_id)
 

@@ -44,14 +44,6 @@ class CandidateScore(Record):
     score: float
 
 
-@dataclass(frozen=True)
-class GroupStats:
-    """Not stored: each advantage is written onto its passing candidate."""
-    mean: float
-    stddev: float  # population
-    advantages: tuple[float, ...]
-
-
 def normalize(value: float, baseline: float) -> float:
     """Relative change vs the frozen baseline, guarded near baseline zero."""
     if abs(baseline) < _ZERO:
@@ -80,16 +72,16 @@ def select_next(group):
     return min(passing, key=lambda candidate: candidate.score.score, default=None)
 
 
-def group_advantage(scores: list[float]) -> GroupStats:
-    """Population standardization of a group's scores.
+def group_advantage(scores: list[float]) -> tuple[float, ...]:
+    """Population standardization of a group's scores, one advantage each.
 
     Degenerate groups (size <= 1 or zero spread) get all-zero advantages.
     """
     if not scores:
-        return GroupStats(0.0, 0.0, ())
+        return ()
     mean = sum(scores) / len(scores)
     var = sum((s - mean) ** 2 for s in scores) / len(scores)
     std = math.sqrt(var)
     if std < 1e-12 or len(scores) <= 1:
-        return GroupStats(mean, std, tuple(0.0 for _ in scores))
-    return GroupStats(mean, std, tuple((s - mean) / std for s in scores))
+        return tuple(0.0 for _ in scores)
+    return tuple((s - mean) / std for s in scores)

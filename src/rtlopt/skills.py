@@ -1,10 +1,11 @@
 """Confidence-tiered pattern-strategy skill library.
 
 Each entry pairs a recurring bottleneck pattern with a transformation
-strategy and accumulates empirical statistics from finalized iteration
-records: occurrence count, SEC-pass count, and the running mean of the
-group-relative advantage over passing applications. Tiers are recomputed
-from those statistics after every update.
+strategy and stores only its evidence from finalized iteration records:
+occurrence count, SEC-pass count, and the mean of the group-relative
+advantage over passing applications. Its tier is derived from that evidence
+when read; its recipe is the catalog strategy's docstring. A library keeps
+the (run id, iteration) keys it distilled, and merges only disjoint ones.
 """
 
 from __future__ import annotations
@@ -24,21 +25,9 @@ TIER_HIGH = "high"
 TIER_MEDIUM = "medium"
 TIER_LOW = "low"
 TIER_AVOID = "avoid"
-_TIER_RANK = {TIER_HIGH: 0, TIER_MEDIUM: 1, TIER_LOW: 2, TIER_AVOID: 3}
+TIERS = (TIER_HIGH, TIER_MEDIUM, TIER_LOW, TIER_AVOID)  # most trusted first
 
-SCHEMA_VERSION = 1
-
-# Recipes attached to freshly created entries; refined notes accumulate on top.
-STRATEGY_TEMPLATES = {
-    "condition-precompute": "hoist the comparison feeding a select into its own 1-bit wire",
-    "signal-replication": "duplicate the driver of a high-fanout wire and split its sinks",
-    "selective-register-insertion": "duplicate an existing register and repartition its sinks",
-    "tree-rebalance": "reassociate a skewed chain of one associative operator into a balanced tree",
-    "common-subexpression-extraction": "factor a repeated subexpression into a shared wire",
-    "mux-restructure": "convert a one-hot priority mux chain into a balanced selection tree",
-    "decomposition": "split a deep assign into staged intermediate wires",
-    "constant-fold": "evaluate constant subexpressions and simplify identities",
-}
+SCHEMA_VERSION = 2
 
 
 class SkillError(Exception):
@@ -52,9 +41,10 @@ class Skill(Settings):
     occurrence_count: int = 0
     sec_pass_count: int = 0
     mean_advantage: float = 0.0
-    tier: str = TIER_LOW
-    template: str = ""
-    notes: str = ""
+
+    @property
+    def tier(self) -> str:
+        return assign_tier(self)
 
     @property
     def skill_id(self) -> str:
@@ -89,8 +79,7 @@ def assign_tier(skill: Skill) -> str:
 @dataclass
 class SkillLibrary:
     entries: dict = field(default_factory=dict)  # (pattern, strategy) -> Skill
-    provenance: list = field(default_factory=list)       # contributing run ids
-    distilled_iterations: list = field(default_factory=list)  # [run_id, t] keys
+    distilled_iterations: list = field(default_factory=list)  # (run_id, t) keys
 
     def get(self, pattern: str, strategy: str) -> Skill | None:
         return self.entries.get((pattern, strategy))
@@ -101,7 +90,6 @@ class SkillLibrary:
     def to_dict(self) -> dict:
         return {
             "version": SCHEMA_VERSION,
-            "provenance": sorted(self.provenance),
             "distilled_iterations": sorted(map(list, self.distilled_iterations)),
             "entries": [s.to_dict() for s in self.sorted_entries()],
         }
@@ -110,8 +98,10 @@ class SkillLibrary:
     def from_dict(cls, d: dict) -> "SkillLibrary":
         if d.get("version") != SCHEMA_VERSION:
             raise SkillError(f"unsupported skill schema version {d.get('version')!r}")
-        lib = cls(provenance=list(d.get("provenance", [])),
-                  distilled_iterations=[tuple(k) for k in d.get("distilled_iterations", [])])
+        unknown = d.keys() - {"version", "distilled_iterations", "entries"}
+        if unknown:
+            raise SkillError(f"unknown keys {sorted(unknown)}")
+        lib = cls(distilled_iterations=[tuple(k) for k in d.get("distilled_iterations", [])])
         for entry in d["entries"]:
             skill = Skill.from_dict(entry)
             key = (skill.pattern, skill.strategy)
@@ -121,6 +111,17 @@ class SkillLibrary:
         return lib
 
 
+def _fold(skill: Skill, occurrences: int, passes: int, advantage_sum: float):
+    """Add evidence to ``skill``: counts sum, and the mean is weighted by pass
+    count. ``advantage_sum`` totals the new passes' advantages."""
+    skill.occurrence_count += occurrences
+    old_passes = skill.sec_pass_count
+    skill.sec_pass_count += passes
+    if passes:
+        skill.mean_advantage = ((skill.mean_advantage * old_passes + advantage_sum)
+                                / skill.sec_pass_count)
+
+
 def distill(iteration: IterationRecord, library: SkillLibrary,
             run_id: str = "") -> SkillLibrary:
     """Fold one finalized iteration's evidence into the library, in place.
@@ -128,8 +129,8 @@ def distill(iteration: IterationRecord, library: SkillLibrary,
     Evidence is each evaluated candidate that applied a catalog strategy to
     a diagnosed path, keyed by (that path's pattern, strategy).
 
-    Batch update: advantages for one entry are averaged over the whole
-    iteration before merging, so candidate arrival order is irrelevant.
+    Batch update: advantages for one entry are summed over the whole
+    iteration before folding, so candidate arrival order is irrelevant.
     Idempotent per (run_id, iteration index).
     """
     if not iteration.finalized:
@@ -138,38 +139,27 @@ def distill(iteration: IterationRecord, library: SkillLibrary,
     if key in library.distilled_iterations:
         return library
     library.distilled_iterations.append(key)
-    if run_id and run_id not in library.provenance:
-        library.provenance.append(run_id)
 
-    # (pattern, strategy) -> [occurrences, passes, passing advantages]
+    # (pattern, strategy) -> [occurrences, passing advantages]
     batch: dict[tuple[str, str], list] = {}
     for cand in iteration.candidates:
         if (cand.status != CANDIDATE_OK or cand.strategy is None
                 or cand.path is None):
             continue
         entry_key = (iteration.diagnoses[cand.path].pattern, cand.strategy)
-        entry = batch.setdefault(entry_key, [0, 0, []])
+        entry = batch.setdefault(entry_key, [0, []])
         entry[0] += 1
         if cand.sec_pass:
-            entry[1] += 1
-            if cand.advantage is not None:
-                entry[2].append(cand.advantage)
+            if cand.advantage is None:
+                raise SkillError(f"iteration {iteration.index}: SEC-passing candidate "
+                                 f"{cand.candidate_id} has no advantage")
+            entry[1].append(cand.advantage)
 
-    for (pattern, strategy), (occ, passes, advs) in sorted(batch.items()):
+    for (pattern, strategy), (occ, advs) in sorted(batch.items()):
         skill = library.entries.get((pattern, strategy))
         if skill is None:
-            skill = Skill(pattern=pattern, strategy=strategy,
-                          template=STRATEGY_TEMPLATES.get(strategy, ""))
-            library.entries[(pattern, strategy)] = skill
-        skill.occurrence_count += occ
-        old_n = skill.sec_pass_count
-        skill.sec_pass_count += passes
-        if advs:
-            total = skill.mean_advantage * old_n + sum(advs)
-            # Advantage evidence only accrues from passing applications; the
-            # denominator tracks how many carried an advantage value.
-            skill.mean_advantage = total / (old_n + len(advs)) if (old_n + len(advs)) else 0.0
-        skill.tier = assign_tier(skill)
+            skill = library.entries[(pattern, strategy)] = Skill(pattern, strategy)
+        _fold(skill, occ, len(advs), sum(advs))
     return library
 
 
@@ -184,45 +174,30 @@ def match(pattern: str, library: SkillLibrary) -> MatchResult:
     hits = [s for s in library.sorted_entries() if s.pattern == pattern]
     recommendations = sorted(
         (s for s in hits if s.tier != TIER_AVOID),
-        key=lambda s: (_TIER_RANK[s.tier], s.mean_advantage, s.strategy),
+        key=lambda s: (TIERS.index(s.tier), s.mean_advantage, s.strategy),
     )
     prohibitions = [s for s in hits if s.tier == TIER_AVOID]
     return MatchResult(tuple(recommendations), tuple(prohibitions))
 
 
 def merge(libraries: list[SkillLibrary]) -> SkillLibrary:
-    """Combine libraries: counts sum, means combine pass-count-weighted."""
+    """Combine libraries distilled from disjoint iterations: counts sum, and
+    means combine pass-count-weighted. Two libraries that distilled the same
+    (run id, iteration) would count its evidence twice, so that raises."""
     merged = SkillLibrary()
     for lib in libraries:
-        for run_id in lib.provenance:
-            if run_id not in merged.provenance:
-                merged.provenance.append(run_id)
         for key in lib.distilled_iterations:
-            if key not in merged.distilled_iterations:
-                merged.distilled_iterations.append(key)
+            if key in merged.distilled_iterations:
+                raise SkillError(f"libraries share distilled iteration {key[1]} of run "
+                                 f"{key[0]!r}; merging would count its evidence twice")
+        merged.distilled_iterations.extend(lib.distilled_iterations)
         for key, skill in lib.entries.items():
             existing = merged.entries.get(key)
             if existing is None:
                 merged.entries[key] = replace(skill)
-                continue
-            if (skill.template and existing.template
-                    and skill.template != existing.template):
-                raise SkillError(
-                    f"conflicting templates for {skill.skill_id}: "
-                    f"{existing.template!r} vs {skill.template!r}")
-            total_pass = existing.sec_pass_count + skill.sec_pass_count
-            if total_pass:
-                existing.mean_advantage = (
-                    existing.mean_advantage * existing.sec_pass_count
-                    + skill.mean_advantage * skill.sec_pass_count
-                ) / total_pass
-            existing.occurrence_count += skill.occurrence_count
-            existing.sec_pass_count = total_pass
-            existing.template = existing.template or skill.template
-            if skill.notes and skill.notes not in existing.notes:
-                existing.notes = (existing.notes + "\n" + skill.notes).strip()
-    for skill in merged.entries.values():
-        skill.tier = assign_tier(skill)
+            else:
+                _fold(existing, skill.occurrence_count, skill.sec_pass_count,
+                      skill.mean_advantage * skill.sec_pass_count)
     return merged
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 from .backend import EvalResult
 from .records import Record
-from .scoring import CandidateScore, GroupStats
+from .scoring import CandidateScore
 from .timing import BottleneckDiagnosis
 
 STATUS_RUNNING = "running"
@@ -184,8 +184,9 @@ class TrajectoryStore:
             raise TrajectoryError(f"path {record.path} is not a diagnosed path")
         iteration.candidates.append(record)
 
-    def finalize_iteration(self, iteration: IterationRecord, stats: GroupStats,
-                           selected: str | None):
+    def finalize_iteration(self, iteration: IterationRecord,
+                           advantages: tuple[float, ...], selected: str | None):
+        """``advantages`` has one value per SEC-passing candidate, in order."""
         if iteration.finalized:
             raise TrajectoryError(f"iteration {iteration.index} already finalized")
         if len(iteration.candidates) < iteration.group_size:
@@ -197,11 +198,12 @@ class TrajectoryStore:
             if not match or not match[0].sec_pass:
                 raise TrajectoryError(
                     f"selected candidate {selected!r} is not a SEC-passing member")
-        # Write advantages back onto the passing candidates, in group order.
         passers = [c for c in iteration.candidates if c.sec_pass]
-        if stats.advantages and len(stats.advantages) == len(passers):
-            for cand, adv in zip(passers, stats.advantages):
-                cand.advantage = adv
+        if len(advantages) != len(passers):
+            raise TrajectoryError(f"{len(advantages)} advantages for "
+                                  f"{len(passers)} SEC-passing candidates")
+        for cand, adv in zip(passers, advantages):
+            cand.advantage = adv
         iteration.selected = selected
         iteration.finalized = True
         self._encoded[iteration.index] = canonical_json(iteration.to_dict())

@@ -26,8 +26,7 @@ PATTERNS = {"wns": r"wns (\S+)", "tns": r"tns (\S+)", "area": r"area (\S+)"}
 
 def _external(**external):
     """A config payload for the external backend."""
-    return {"backend": {"kind": "external",
-                        "external": {"metric_patterns": PATTERNS, **external}}}
+    return {"backend": {"external": {"metric_patterns": PATTERNS, **external}}}
 
 
 def _write(tmp_path, name, payload):
@@ -40,7 +39,7 @@ def test_load_config_defaults_and_sections(tmp_path):
     assert load_config(None).candidates == 5
     path = _write(tmp_path, "c.json", {
         "run": {"iterations": 2, "candidates": 3, "seed": 7},
-        "backend": {"kind": "builtin", "clock_period": 0.6},
+        "backend": {"clock_period": 0.6},
         "scoring": {"alpha": 0.4, "beta": 0.4, "gamma": 0.2,
                     "area_penalty": 0.5, "area_penalty_threshold": 0.1},
         "proposer": {"n_candidates": 3, "exploration_fraction": 0.5},
@@ -60,6 +59,7 @@ def test_load_config_rejects_unknown_section(tmp_path):
 
 @pytest.mark.parametrize("section, key", [
     ("run", "early_stop"), ("proposer", "n_slots"), ("backend", "clock"),
+    ("backend", "kind"),
 ])
 def test_optimize_unknown_key_exit_1(design_file, tmp_path, capsys, section, key):
     config = _write(tmp_path, "bad.json", {section: {key: True}})
@@ -164,11 +164,10 @@ def test_llm_misconfiguration_exit_1_at_load(design_file, tmp_path, capsys, comm
 
 @pytest.mark.parametrize("command", ["eval", "optimize"])
 @pytest.mark.parametrize("payload", [
-    {"backend": {"kind": "external"}},
-    {"backend": {"kind": "external", "external": {
+    {"backend": {"external": {
         "synth_command_template": "true", "metric_patterns": {"wns": "wns (\\S+)"}}}},
     _external(synth_command_template="synth {nope}"),
-], ids=["no-external-section", "missing-pattern", "unknown-placeholder"])
+], ids=["missing-pattern", "unknown-placeholder"])
 def test_external_misconfiguration_exit_1_at_load(design_file, tmp_path, capsys,
                                                   command, payload):
     _assert_rejected_at_load(command, design_file, tmp_path, capsys, payload)
@@ -376,15 +375,32 @@ def test_report_json_format(design_file, tmp_path, capsys):
 
 
 def test_skills_roundtrip_via_cli(design_file, tmp_path, capsys):
-    run_dir = _finished_run(design_file, tmp_path)
-    library = os.path.join(run_dir, "skills.json")
+    library = os.path.join(_finished_run(design_file, tmp_path), "skills.json")
+    out = str(tmp_path / "runs")
+    assert main(["optimize", "--design", design_file, "--seed", "1", "--out", out]) == 0
+    other = os.path.join(out, "chain-seed1", "skills.json")
     capsys.readouterr()
     assert main(["skills", "list", "--library", library]) == 0
     assert "wide-arithmetic" in capsys.readouterr().out
     merged = str(tmp_path / "merged.json")
-    assert main(["skills", "merge", library,
+    assert main(["skills", "merge", other,
                  "--library", library, "--output", merged]) == 0
     assert main(["skills", "import", "--library", merged]) == 0
+    with open(merged) as fh:
+        assert len(json.load(fh)["distilled_iterations"]) == 20
+
+
+def test_skills_self_merge_exit_1(design_file, tmp_path, capsys):
+    """Merging a library with itself would count every iteration twice."""
+    library = os.path.join(_finished_run(design_file, tmp_path), "skills.json")
+    merged = tmp_path / "merged.json"
+    capsys.readouterr()
+    assert main(["skills", "merge", library,
+                 "--library", library, "--output", str(merged)]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: libraries share distilled iteration 0 of run 'chain-seed0'; "
+                   "merging would count its evidence twice\n")
+    assert not merged.exists()
 
 
 def test_skills_import_invalid_exit_1(tmp_path, capsys):
@@ -393,13 +409,15 @@ def test_skills_import_invalid_exit_1(tmp_path, capsys):
     assert main(["skills", "import", "--library", str(bad)]) == 1
 
 
-_BOGUS_ENTRY = {"version": 1, "entries": [{"pattern": "wide-arithmetic",
+_BOGUS_ENTRY = {"version": 2, "entries": [{"pattern": "wide-arithmetic",
                                           "strategy": "tree-rebalance", "bogus": 1}]}
+_STORED_TIER = {"version": 2, "entries": [{"pattern": "wide-arithmetic",
+                                          "strategy": "tree-rebalance", "tier": "bogus"}]}
 
 
 @pytest.mark.parametrize("command", ["skills", "optimize"])
-@pytest.mark.parametrize("payload", [_BOGUS_ENTRY, 5, None],
-                         ids=["unknown-key", "not-an-object", "missing"])
+@pytest.mark.parametrize("payload", [_BOGUS_ENTRY, _STORED_TIER, 5, None],
+                         ids=["unknown-key", "stored-tier", "not-an-object", "missing"])
 def test_malformed_skill_library_is_one_line_error(design_file, tmp_path, capsys,
                                                    command, payload):
     library = tmp_path / "lib.json"
@@ -412,3 +430,15 @@ def test_malformed_skill_library_is_one_line_error(design_file, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["bogus"],
+    ["skills", "merge", "--library", "a", "--output", "m", "b"],
+], ids=["unknown-command", "unrecognized-argument"])
+def test_usage_error_is_one_line_exit_1(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == cli.EXIT_CONFIG == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

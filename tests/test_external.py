@@ -7,7 +7,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -35,7 +34,7 @@ PATTERNS = {"wns": r"wns\s+(-?\d+\.\d+)",
 
 
 def _ext_config(synth="true", sec="", **kw):
-    return BackendConfig(kind="external", clock_period=0.1,
+    return BackendConfig(clock_period=0.1,
                          external=ExternalConfig(
                              synth_command_template=synth,
                              sec_command_template=sec,
@@ -120,13 +119,6 @@ def test_bad_template_rejected_at_load(field, value, problem):
                           field: value})
 
 
-def test_external_kind_needs_its_section():
-    with pytest.raises(ValueError, match="'external' section"):
-        BackendConfig(kind="external")
-    with pytest.raises(ValueError, match="'external' section"):
-        replace(BackendConfig(), kind="external")
-
-
 def test_external_synthesize_extracts_metrics():
     config = _ext_config(
         synth="echo 'wns -0.05'; echo 'tns -0.12'; echo 'area 240'")
@@ -202,7 +194,7 @@ def test_external_synthesize_pattern_miss_raises():
 
 
 def test_external_synthesize_non_number_raises():
-    config = BackendConfig(kind="external", external=ExternalConfig(
+    config = BackendConfig(external=ExternalConfig(
         "echo 'wns x'; echo 'tns -0.1'; echo 'area 1'",
         metric_patterns={**PATTERNS, "wns": r"wns (\S+)"}))
     with pytest.raises(BackendError, match="not a number"):
@@ -249,7 +241,7 @@ def test_external_default_clock_is_tighter():
     assert DEFAULT_CLOCK_NS == 0.5
     assert EXTERNAL_DEFAULT_CLOCK_NS == 0.1
     assert BackendConfig().clock_period == 0.5
-    external = BackendConfig(kind="external", external=ExternalConfig(
+    external = BackendConfig(external=ExternalConfig(
         synth_command_template="true", metric_patterns=PATTERNS))
     assert external.clock_period == 0.1
 
@@ -257,7 +249,7 @@ def test_external_default_clock_is_tighter():
 def _fake_eda_backend() -> BackendConfig:
     """The external backend on ``fake_eda.py``, at the builtin clock."""
     tool = f"{shlex.quote(sys.executable)} {shlex.quote(str(Path(__file__).with_name('fake_eda.py')))}"
-    return BackendConfig(kind="external", clock_period=0.5, external=ExternalConfig(
+    return BackendConfig(clock_period=0.5, external=ExternalConfig(
         synth_command_template=f"{tool} synth {{design_dir}} {{top}} {{clock_ns}}",
         sec_command_template=f"{tool} sec {{design_dir}}",
         metric_patterns=FAKE_EDA_PATTERNS, report_files=("timing_report.json",)))

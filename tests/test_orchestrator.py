@@ -87,7 +87,7 @@ def test_skill_preload_converges_no_slower(tmp_path):
 def test_baseline_failure_aborts(tmp_path):
     design = parse(CHAIN_ADDER_8, "chain.rtl")
     from rtlopt.backend import BackendConfig, ExternalConfig
-    bad_backend = BackendConfig(kind="external", external=ExternalConfig(
+    bad_backend = BackendConfig(external=ExternalConfig(
         synth_command_template="false",
         metric_patterns={"wns": r"wns (\S+)", "tns": r"tns (\S+)", "area": r"area (\S+)"}))
     with pytest.raises(BaselineEvaluationError):

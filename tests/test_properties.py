@@ -1,6 +1,7 @@
 """Property-based checks over randomly generated expressions and groups."""
 
 import itertools
+import math
 import re
 from dataclasses import replace
 
@@ -14,7 +15,9 @@ from rtlopt.backend import (
     SEC_EXHAUSTIVE,
     SEC_SYMBOLIC,
     BackendConfig,
+    EvalResult,
     GoldenSec,
+    PpaMetrics,
     check_equivalence,
     simulate_equivalence,
 )
@@ -31,7 +34,10 @@ from rtlopt.dsl import (
     uint_dtype,
 )
 from rtlopt.rewrites import STRATEGY_FUNCTIONS, NotApplicable, apply_strategy
-from rtlopt.scoring import group_advantage
+from rtlopt.scoring import CandidateScore, group_advantage
+from rtlopt.skills import SkillLibrary, distill, merge
+from rtlopt.timing import BottleneckDiagnosis, RtlRegion, TimingPath
+from rtlopt.trajectory import CandidateRecord, IterationRecord, canonical_json
 
 _VARS = ("a", "b", "c")
 # Both sides of every dtype boundary of the batch engine.
@@ -382,10 +388,58 @@ def test_chunked_verdict_is_the_whole_batch_verdict(case, changes):
 @given(st.lists(st.floats(-10, 10), min_size=1, max_size=16),
        st.floats(-5, 5), st.floats(0.1, 10))
 def test_group_advantage_affine_invariance(scores, shift, scale):
-    stats = group_advantage(scores)
+    mean = sum(scores) / len(scores)
+    stddev = math.sqrt(sum((s - mean) ** 2 for s in scores) / len(scores))
     # Near the degenerate-spread cutoff, scaling can flip the all-zero
     # branch; that regime is covered by the explicit degenerate-case tests.
-    assume(stats.stddev == 0.0 or stats.stddev > 1e-9)
-    base = stats.advantages
-    moved = group_advantage([s * scale + shift for s in scores]).advantages
+    assume(stddev == 0.0 or stddev > 1e-9)
+    base = group_advantage(scores)
+    moved = group_advantage([s * scale + shift for s in scores])
     assert all(abs(x - y) < 1e-6 for x, y in zip(base, moved))
+
+
+# Every iteration diagnoses the same two paths; a slot is (path, strategy,
+# SEC pass, score), and the passers' advantages come from group_advantage.
+_PATHS = tuple(
+    BottleneckDiagnosis(TimingPath("a", "y", -0.1, ()), pattern, pattern,
+                        RtlRegion("m.rtl", 1, 2, "exact"), "test")
+    for pattern in ("wide-arithmetic", "mux-heavy-selection"))
+_slots = st.lists(st.tuples(st.integers(0, len(_PATHS) - 1),
+                            st.sampled_from(["tree-rebalance", "decomposition",
+                                             "mux-restructure"]),
+                            st.booleans(), st.floats(-2, 2)),
+                  min_size=1, max_size=5)
+
+
+def _finalized_iteration(t, slots):
+    advantages = iter(group_advantage([score for _, _, passed, score in slots if passed]))
+    candidates = [
+        CandidateRecord(f"t{t}c{i}", "x" * 16, "rule", strategy=strategy, path=path,
+                        eval=EvalResult(PpaMetrics(-0.1, -0.1, 96.0), passed, "exhaustive"),
+                        score=CandidateScore(0.0, 0.0, 0.0, 0.0, score),
+                        advantage=next(advantages) if passed else None)
+        for i, (path, strategy, passed, score) in enumerate(slots)]
+    return IterationRecord(t, "p", len(candidates), list(_PATHS), candidates,
+                           finalized=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_slots, st.integers(0, 2)), min_size=1, max_size=8))
+def test_merging_disjoint_libraries_is_distilling_their_union(groups):
+    """Libraries distilled from disjoint sets of iterations merge into the
+    library distilled from all of them."""
+    whole, parts = SkillLibrary(), [SkillLibrary() for _ in range(3)]
+    for t, (slots, owner) in enumerate(groups):
+        iteration = _finalized_iteration(t, slots)
+        distill(iteration, whole, run_id="r")
+        distill(iteration, parts[owner], run_id="r")
+    merged = merge(parts)
+    assert sorted(merged.distilled_iterations) == sorted(whole.distilled_iterations)
+    assert merged.entries.keys() == whole.entries.keys()
+    for key, skill in whole.entries.items():
+        got = merged.entries[key]
+        assert got.occurrence_count == skill.occurrence_count
+        assert got.sec_pass_count == skill.sec_pass_count
+        assert abs(got.mean_advantage - skill.mean_advantage) <= 1e-9
+        assert got.tier == skill.tier
+    assert canonical_json(merge([whole]).to_dict()) == canonical_json(whole.to_dict())

@@ -4,7 +4,7 @@ from corpus import CHAIN_ADDER_8
 from rtlopt.backend import synthesize
 from rtlopt.dsl import parse, print_design
 from rtlopt.proposer import Proposal, ProposerConfig, propose_group
-from rtlopt.skills import Skill, SkillLibrary, assign_tier
+from rtlopt.skills import Skill, SkillLibrary
 from rtlopt.timing import diagnose, select_critical_paths
 
 
@@ -16,10 +16,9 @@ def _diagnoses(design, bcfg, k=1):
 def _library(*entries):
     lib = SkillLibrary()
     for pattern, strategy, occ, passes, mean in entries:
-        s = Skill(pattern=pattern, strategy=strategy, occurrence_count=occ,
-                  sec_pass_count=passes, mean_advantage=mean)
-        s.tier = assign_tier(s)
-        lib.entries[(pattern, strategy)] = s
+        lib.entries[(pattern, strategy)] = Skill(
+            pattern=pattern, strategy=strategy, occurrence_count=occ,
+            sec_pass_count=passes, mean_advantage=mean)
     return lib
 
 

@@ -70,16 +70,15 @@ RECORDS = {
     "state-new": RunState("r", "chain", {}),
     "weights": ScoreWeights(0.4, 0.4, 0.2, 0.25, 0.2),
     "external": EXTERNAL,
-    "backend-external": BackendConfig("external", 0.1, EXTERNAL),
+    "backend-external": BackendConfig(0.1, EXTERNAL),
     "backend-builtin": BackendConfig(),
     "llm": LLM,
     "proposer-llm": ProposerConfig(3, 0.5, LLM),
     "proposer": ProposerConfig(),
     "run-config": RunConfig(2, 3, 1, ScoreWeights(gamma=0.3),
-                            BackendConfig("external", 0.1, EXTERNAL),
+                            BackendConfig(0.1, EXTERNAL),
                             ProposerConfig(3, 0.5, LLM), 0.01, 7),
-    "skill": Skill("wide-arithmetic", "tree-rebalance", 3, 2, -0.5, "medium",
-                   "reassociate", "note"),
+    "skill": Skill("wide-arithmetic", "tree-rebalance", 3, 2, -0.5),
 }
 
 
@@ -135,7 +134,8 @@ def test_unknown_key_is_a_type_error_naming_it(cls, d, key):
     (CandidateRecord, {**SKIPPED.to_dict(), "status": None}),
     (ScoreWeights, {"alpha": None}),
     (RunConfig, {"backend": None}),
-    (Skill, {"pattern": "wide-arithmetic", "strategy": "tree-rebalance", "notes": None}),
+    (Skill, {"pattern": "wide-arithmetic", "strategy": "tree-rebalance",
+             "mean_advantage": None}),
 ], ids=["record", "nested-record", "settings", "section", "skill"])
 def test_null_for_a_non_optional_field_is_a_type_error(cls, d):
     with pytest.raises(TypeError, match="must not be null"):

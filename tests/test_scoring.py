@@ -84,17 +84,16 @@ def test_select_next_all_failing_is_none():
 
 
 def test_group_advantage_example():
-    stats = group_advantage([-0.5, -0.2, 0.1])
-    assert stats.mean == pytest.approx(-0.2)
-    assert stats.advantages[0] == pytest.approx(-1.2247448, abs=1e-6)
-    assert stats.advantages[1] == pytest.approx(0.0, abs=1e-12)
-    assert stats.advantages[2] == pytest.approx(1.2247448, abs=1e-6)
+    advantages = group_advantage([-0.5, -0.2, 0.1])
+    assert advantages[0] == pytest.approx(-1.2247448, abs=1e-6)
+    assert advantages[1] == pytest.approx(0.0, abs=1e-12)
+    assert advantages[2] == pytest.approx(1.2247448, abs=1e-6)
 
 
 def test_group_advantage_degenerate_cases():
-    assert group_advantage([0.3]).advantages == (0.0,)
-    assert group_advantage([0.3, 0.3, 0.3]).advantages == (0.0, 0.0, 0.0)
-    assert group_advantage([]).advantages == ()
+    assert group_advantage([0.3]) == (0.0,)
+    assert group_advantage([0.3, 0.3, 0.3]) == (0.0, 0.0, 0.0)
+    assert group_advantage([]) == ()
 
 
 def test_group_advantage_standardized_properties():
@@ -104,12 +103,12 @@ def test_group_advantage_standardized_properties():
         scores = [rng.uniform(-2, 2) for _ in range(n)]
         if max(scores) - min(scores) < 1e-9:
             continue
-        adv = group_advantage(scores).advantages
+        adv = group_advantage(scores)
         mean = sum(adv) / n
         std = math.sqrt(sum((a - mean) ** 2 for a in adv) / n)
         assert abs(mean) < 1e-9
         assert abs(std - 1.0) < 1e-9
         # invariance under translation and positive scaling
-        shifted = group_advantage([s * 3.5 + 1.25 for s in scores]).advantages
+        shifted = group_advantage([s * 3.5 + 1.25 for s in scores])
         for a, b in zip(adv, shifted):
             assert a == pytest.approx(b, abs=1e-9)

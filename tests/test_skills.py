@@ -8,7 +8,6 @@ from rtlopt.skills import (
     Skill,
     SkillError,
     SkillLibrary,
-    assign_tier,
     distill,
     export_library,
     import_library,
@@ -60,7 +59,7 @@ def test_distill_creates_entry_with_batch_mean():
     failing = lib.get("wide-arithmetic", "decomposition")
     assert failing.occurrence_count == 1
     assert failing.sec_pass_count == 0
-    assert "run-a" in lib.provenance
+    assert lib.distilled_iterations == [("run-a", 0)]
 
 
 def test_distill_idempotent_per_run_iteration():
@@ -101,11 +100,16 @@ def test_distill_skips_skipped_and_requires_finalized():
         distill(pending, lib, run_id="r")
 
 
+def test_distill_requires_each_passers_advantage():
+    lib = SkillLibrary()
+    unscored = _cand("c0", "wide-arithmetic", "tree-rebalance", None)
+    with pytest.raises(SkillError, match="c0 has no advantage"):
+        distill(_iteration(0, [unscored]), lib, run_id="r")
+
+
 def _skill(occ, passes, mean):
-    s = Skill(pattern="wide-arithmetic", strategy="tree-rebalance",
-              occurrence_count=occ, sec_pass_count=passes, mean_advantage=mean)
-    s.tier = assign_tier(s)
-    return s
+    return Skill(pattern="wide-arithmetic", strategy="tree-rebalance",
+                 occurrence_count=occ, sec_pass_count=passes, mean_advantage=mean)
 
 
 @pytest.mark.parametrize("occ,passes,mean,tier", [
@@ -121,6 +125,15 @@ def test_tier_assignment(occ, passes, mean, tier):
     assert _skill(occ, passes, mean).tier == tier
 
 
+def test_tier_is_derived_not_stored():
+    skill = _skill(1, 1, -1.0)
+    assert skill.tier == "low"
+    skill.occurrence_count, skill.sec_pass_count = 3, 3
+    assert skill.tier == "high"
+    assert set(skill.to_dict()) == {"pattern", "strategy", "occurrence_count",
+                                    "sec_pass_count", "mean_advantage"}
+
+
 def test_match_ranks_by_tier_then_mean():
     lib = SkillLibrary()
     entries = [
@@ -131,10 +144,9 @@ def test_match_ranks_by_tier_then_mean():
         ("mux-heavy-selection", "mux-restructure", 3, 3, -0.8),   # other pattern
     ]
     for pattern, strategy, occ, passes, mean in entries:
-        s = Skill(pattern=pattern, strategy=strategy, occurrence_count=occ,
-                  sec_pass_count=passes, mean_advantage=mean)
-        s.tier = assign_tier(s)
-        lib.entries[(pattern, strategy)] = s
+        lib.entries[(pattern, strategy)] = Skill(
+            pattern=pattern, strategy=strategy, occurrence_count=occ,
+            sec_pass_count=passes, mean_advantage=mean)
     result = match("wide-arithmetic", lib)
     assert [s.strategy for s in result.recommendations] == [
         "tree-rebalance", "decomposition", "constant-fold"]
@@ -143,42 +155,38 @@ def test_match_ranks_by_tier_then_mean():
 
 
 def test_merge_count_weighted_and_commutative():
-    def lib_with(occ, passes, mean, runs):
-        lib = SkillLibrary(provenance=list(runs))
+    def lib_with(occ, passes, mean, run_id):
+        lib = SkillLibrary(distilled_iterations=[(run_id, 0)])
         s = Skill(pattern="wide-arithmetic", strategy="tree-rebalance",
                   occurrence_count=occ, sec_pass_count=passes, mean_advantage=mean)
-        s.tier = assign_tier(s)
         lib.entries[(s.pattern, s.strategy)] = s
         return lib
 
-    a = lib_with(3, 2, -0.5, ["ra"])
-    b = lib_with(1, 1, 0.4, ["rb"])
+    a = lib_with(3, 2, -0.5, "ra")
+    b = lib_with(1, 1, 0.4, "rb")
     ab = merge([a, b])
     skill = ab.get("wide-arithmetic", "tree-rebalance")
     assert skill.occurrence_count == 4
     assert skill.sec_pass_count == 3
     assert skill.mean_advantage == pytest.approx((-0.5 * 2 + 0.4 * 1) / 3)
-    assert sorted(ab.provenance) == ["ra", "rb"]
+    assert sorted(ab.distilled_iterations) == [("ra", 0), ("rb", 0)]
 
     ba = merge([b, a])
     assert ba.to_dict()["entries"] == ab.to_dict()["entries"]
-    c = lib_with(2, 2, -0.1, ["rc"])
+    c = lib_with(2, 2, -0.1, "rc")
     left = merge([merge([a, b]), c]).get("wide-arithmetic", "tree-rebalance")
     right = merge([a, merge([b, c])]).get("wide-arithmetic", "tree-rebalance")
     assert left.mean_advantage == pytest.approx(right.mean_advantage, abs=1e-9)
     assert left.occurrence_count == right.occurrence_count
 
 
-def test_merge_template_conflict_raises():
-    def lib_with_template(text):
-        lib = SkillLibrary()
-        s = Skill(pattern="wide-arithmetic", strategy="tree-rebalance",
-                  occurrence_count=1, sec_pass_count=1, template=text)
-        lib.entries[(s.pattern, s.strategy)] = s
-        return lib
-
-    with pytest.raises(SkillError):
-        merge([lib_with_template("balance it"), lib_with_template("other recipe")])
+def test_merge_refuses_libraries_that_share_an_iteration():
+    a = SkillLibrary(distilled_iterations=[("ra", 0), ("ra", 1)])
+    b = SkillLibrary(distilled_iterations=[("rb", 0), ("ra", 1)])
+    with pytest.raises(SkillError, match="iteration 1 of run 'ra'"):
+        merge([a, b])
+    with pytest.raises(SkillError, match="iteration 0 of run 'ra'"):
+        merge([a, a])
 
 
 def test_export_import_roundtrip(tmp_path):
@@ -194,9 +202,19 @@ def test_export_import_roundtrip(tmp_path):
     assert open(path).read() == open(str(tmp_path / "skills2.json")).read()
 
 
-def test_import_rejects_bad_schema(tmp_path):
+_ENTRY = '{"pattern":"wide-arithmetic","strategy":"tree-rebalance"'
+
+
+@pytest.mark.parametrize("text, problem", [
+    ('{"version":99,"entries":[]}', "version 99"),
+    ('{"version":1,"provenance":[],"entries":[]}', "version 1"),
+    ('{"version":2,"entries":[],"bogus":1}', "bogus"),
+    ('{"version":2,"entries":[' + _ENTRY + ',"tier":"high"}]}', "tier"),
+    ('{"version":2,"entries":[' + _ENTRY + ',"template":""}]}', "template"),
+], ids=["version-99", "version-1", "unknown-key", "entry-tier", "entry-template"])
+def test_import_rejects_bad_schema(tmp_path, text, problem):
     path = str(tmp_path / "bad.json")
     with open(path, "w") as fh:
-        fh.write('{"version":99,"entries":[]}')
-    with pytest.raises(SkillError):
+        fh.write(text)
+    with pytest.raises(SkillError, match=problem):
         import_library(path)

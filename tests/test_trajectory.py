@@ -9,7 +9,7 @@ from corpus import CHAIN_ADDER_8
 from rtlopt.backend import EvalResult, PpaMetrics
 from rtlopt.dsl import parse
 from rtlopt.orchestrator import RunConfig, run
-from rtlopt.scoring import CandidateScore, GroupStats, group_advantage
+from rtlopt.scoring import CandidateScore, group_advantage
 from rtlopt.timing import (
     BottleneckDiagnosis,
     RtlRegion,
@@ -110,6 +110,19 @@ def test_advantages_written_back_to_passers(tmp_path):
     assert it.candidates[2].advantage == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("advantages", [(), (-1.0, 0.0, 1.0)], ids=["none", "too-many"])
+def test_advantages_must_match_the_passers(tmp_path, advantages):
+    store = TrajectoryStore(str(tmp_path / "r"),
+                            RunState(run_id="r", design_name="d", config={}))
+    it = store.begin_iteration("p", 2, [])
+    store.record_candidate(it, _cand("c0", -0.5))
+    store.record_candidate(it, _cand("c1", 0.1))
+    with pytest.raises(TrajectoryError, match="2 SEC-passing candidates"):
+        store.finalize_iteration(it, advantages, "c0")
+    assert not it.finalized and it.candidates[0].advantage is None
+    assert not os.path.exists(store.state_path)
+
+
 def test_store_validation_errors(tmp_path):
     store = TrajectoryStore(str(tmp_path / "r"),
                             RunState(run_id="r", design_name="d", config={}))
@@ -118,7 +131,7 @@ def test_store_validation_errors(tmp_path):
     with pytest.raises(TrajectoryError):
         store.record_candidate(it, _cand("c1"))        # full group
     with pytest.raises(TrajectoryError):
-        store.finalize_iteration(it, GroupStats(0, 0, ()), "missing")
+        store.finalize_iteration(it, (0.0,), "missing")
     it2 = store.begin_iteration("p", 2, [DIAGNOSIS])
     store.record_candidate(it2, _cand("c0"))
     with pytest.raises(TrajectoryError):
@@ -128,7 +141,7 @@ def test_store_validation_errors(tmp_path):
     with pytest.raises(TrajectoryError):
         store.record_candidate(it2, stray)             # no diagnosed path 1
     with pytest.raises(TrajectoryError):
-        store.finalize_iteration(it2, GroupStats(0, 0, ()), None)  # short group
+        store.finalize_iteration(it2, (0.0,), None)  # short group
 
 
 def test_iteration_is_finalized_once(tmp_path):
@@ -140,7 +153,7 @@ def test_iteration_is_finalized_once(tmp_path):
     store.record_candidate(it, _cand("c0", -0.2))
     store.finalize_iteration(it, group_advantage([-0.2]), "c0")
     with pytest.raises(TrajectoryError, match="already finalized"):
-        store.finalize_iteration(it, GroupStats(0, 0, ()), None)
+        store.finalize_iteration(it, (0.0,), None)
     assert it.selected == "c0"
     open_it = store.begin_iteration("p", 1, [DIAGNOSIS])  # not finalized: encoded per write
     store.persist()
