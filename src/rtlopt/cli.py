@@ -1,8 +1,8 @@
 """Command-line surface: optimize, eval, show, skills, report.
 
-Configuration is a single JSON object with sections backend / proposer /
-scoring / run, each a JSON object; every default matches the built-in
-evaluation setup so an empty config file is a valid run.
+A config file is one ``RunConfig`` record, the object a run stores under
+``config`` in its state.json, so that object reproduces the run. Every
+default matches the built-in evaluation setup, so ``{}`` is a valid run.
 
 Exit codes: 0 success, 1 usage or configuration error, 2 baseline evaluation
 failure, 3 internal error (an exception no command maps, reported on one
@@ -32,46 +32,35 @@ EXIT_CONFIG = 1
 EXIT_BASELINE = 2
 EXIT_INTERNAL = 3
 
-CONFIG_SECTIONS = {"backend", "proposer", "scoring", "run"}
-
 
 class ConfigError(Exception):
     pass
 
 
 def load_config(path: str | None) -> RunConfig:
-    raw = {}
-    if path is not None:
-        try:
-            with open(path) as fh:
-                raw = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"invalid config: {path} is not a JSON object")
-    unknown = set(raw) - CONFIG_SECTIONS
-    if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    for name, section in raw.items():
-        if not isinstance(section, dict):
-            raise ConfigError(f"invalid config: section {name!r} is not a JSON object")
-    merged = dict(raw.get("run", {}))
-    if "backend" in raw:
-        merged["backend"] = raw["backend"]
-    if "proposer" in raw:
-        merged["proposer"] = raw["proposer"]
-    if "scoring" in raw:
-        merged["weights"] = raw["scoring"]
+    if path is None:
+        return RunConfig()
     try:
-        return RunConfig.from_dict(merged)
+        with open(path) as fh:
+            raw = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    try:
+        return RunConfig.from_dict(raw)
     except (TypeError, ValueError, KeyError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
 def _load_design(path: str):
-    with open(path) as fh:
-        source = fh.read()
-    return parse(source, filename=os.path.basename(path))
+    try:
+        with open(path) as fh:
+            source = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read design {path}: {exc}") from exc
+    try:
+        return parse(source, filename=os.path.basename(path))
+    except RtlError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _fmt_delta(value: float, pct: float) -> str:
@@ -81,12 +70,8 @@ def _fmt_delta(value: float, pct: float) -> str:
 def cmd_optimize(args) -> int:
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         design = _load_design(args.design)
-    except (OSError, RtlError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if args.seed is not None:
@@ -126,13 +111,13 @@ def cmd_eval(args) -> int:
     try:
         config = load_config(args.config)
         design = _load_design(args.design)
-    except (ConfigError, OSError, RtlError) as exc:
+        golden = _load_design(args.golden) if args.golden else None
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     try:
-        if args.golden:
-            sec = be.GoldenSec(_load_design(args.golden))
-            result, _ = be.evaluate(design, config.backend, sec)
+        if golden is not None:
+            result, _ = be.evaluate(design, config.backend, be.GoldenSec(golden))
             payload = {**result.metrics.to_dict(), "sec_pass": result.sec_pass,
                        "sec_mode": result.sec_mode}
         else:
@@ -203,6 +188,8 @@ def cmd_skills(args) -> int:
                       f"occ={skill.occurrence_count:<4}pass={rate:.2f} "
                       f"adv={skill.mean_advantage:+.3f}")
             return EXIT_OK
+        if args.action in ("export", "merge") and args.output is None:
+            raise sk.SkillError(f"skills {args.action} needs --output")
         if args.action == "export":
             library = sk.import_library(args.library)
             sk.export_library(library, args.output)

@@ -23,7 +23,6 @@ from .trajectory import (
     CANDIDATE_EVAL_ERROR,
     CANDIDATE_OK,
     CANDIDATE_SKIPPED,
-    DEFAULT_CONVERGENCE_EPSILON,
     STATUS_BUDGET,
     CandidateRecord,
     RunState,
@@ -43,12 +42,11 @@ class RunConfig(Settings):
     weights: ScoreWeights = field(default_factory=ScoreWeights)
     backend: be.BackendConfig = field(default_factory=be.BackendConfig)
     proposer: ProposerConfig = field(default_factory=ProposerConfig)
-    convergence_epsilon: float = DEFAULT_CONVERGENCE_EPSILON
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 1 or self.candidates < 1:
-            raise ValueError("iterations and candidates must be >= 1")
+        if min(self.iterations, self.candidates, self.top_k_paths) < 1:
+            raise ValueError("iterations, candidates and top_k_paths must be >= 1")
 
 
 @dataclass
@@ -108,12 +106,10 @@ def evaluate_group(proposals: list[Proposal], sec: be.GoldenSec,
 
 
 def run(design: RtlDesign, config: RunConfig, out_dir: str,
-        library: SkillLibrary | None = None, run_id: str | None = None,
-        llm_client=None) -> RunResult:
+        library: SkillLibrary | None = None, llm_client=None) -> RunResult:
     if library is None:
         library = SkillLibrary()
-    if run_id is None:
-        run_id = f"{design.name}-seed{config.seed}"
+    run_id = f"{design.name}-seed{config.seed}"
     run_dir = os.path.join(out_dir, run_id)
 
     try:
@@ -179,9 +175,9 @@ def run(design: RtlDesign, config: RunConfig, out_dir: str,
         advantages = group_advantage([r.score.score for r in records if r.sec_pass])
         selected = select_next([r for r in records if r.status == CANDIDATE_OK])
         selected_id = selected.candidate_id if selected is not None else None
-        store.finalize_iteration(iteration, advantages, selected_id)
+        key = store.finalize_iteration(iteration, advantages, selected_id)
 
-        distill(iteration, library, run_id=run_id)
+        distill(iteration, library, key)
 
         if selected is not None:
             current_id = selected.design_ref
@@ -205,7 +201,7 @@ def run(design: RtlDesign, config: RunConfig, out_dir: str,
             "area_pct": _pct(best_metrics.area, baseline_metrics.area),
         },
         sec_pass_rate=final.pass_rate,
-        convergence_steps=convergence_steps(state, config.convergence_epsilon),
+        convergence_steps=convergence_steps(state),
         best_so_far=best_so_far_scores(state),
         status=state.status,
         run_dir=run_dir,

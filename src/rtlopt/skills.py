@@ -5,7 +5,8 @@ strategy and stores only its evidence from finalized iteration records:
 occurrence count, SEC-pass count, and the mean of the group-relative
 advantage over passing applications. Its tier is derived from that evidence
 when read; its recipe is the catalog strategy's docstring. A library keeps
-the (run id, iteration) keys it distilled, and merges only disjoint ones.
+the key of each iteration it distilled, the digest of that iteration's
+canonical JSON, and merges only libraries whose keys are disjoint.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ TIER_LOW = "low"
 TIER_AVOID = "avoid"
 TIERS = (TIER_HIGH, TIER_MEDIUM, TIER_LOW, TIER_AVOID)  # most trusted first
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class SkillError(Exception):
@@ -79,7 +80,7 @@ def assign_tier(skill: Skill) -> str:
 @dataclass
 class SkillLibrary:
     entries: dict = field(default_factory=dict)  # (pattern, strategy) -> Skill
-    distilled_iterations: list = field(default_factory=list)  # (run_id, t) keys
+    distilled_iterations: list = field(default_factory=list)  # iteration digests
 
     def get(self, pattern: str, strategy: str) -> Skill | None:
         return self.entries.get((pattern, strategy))
@@ -90,7 +91,7 @@ class SkillLibrary:
     def to_dict(self) -> dict:
         return {
             "version": SCHEMA_VERSION,
-            "distilled_iterations": sorted(map(list, self.distilled_iterations)),
+            "distilled_iterations": sorted(self.distilled_iterations),
             "entries": [s.to_dict() for s in self.sorted_entries()],
         }
 
@@ -101,7 +102,10 @@ class SkillLibrary:
         unknown = d.keys() - {"version", "distilled_iterations", "entries"}
         if unknown:
             raise SkillError(f"unknown keys {sorted(unknown)}")
-        lib = cls(distilled_iterations=[tuple(k) for k in d.get("distilled_iterations", [])])
+        keys = d.get("distilled_iterations", [])
+        if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
+            raise SkillError("distilled_iterations must be a list of strings")
+        lib = cls(distilled_iterations=list(keys))
         for entry in d["entries"]:
             skill = Skill.from_dict(entry)
             key = (skill.pattern, skill.strategy)
@@ -122,8 +126,7 @@ def _fold(skill: Skill, occurrences: int, passes: int, advantage_sum: float):
                                 / skill.sec_pass_count)
 
 
-def distill(iteration: IterationRecord, library: SkillLibrary,
-            run_id: str = "") -> SkillLibrary:
+def distill(iteration: IterationRecord, library: SkillLibrary, key: str) -> SkillLibrary:
     """Fold one finalized iteration's evidence into the library, in place.
 
     Evidence is each evaluated candidate that applied a catalog strategy to
@@ -131,11 +134,11 @@ def distill(iteration: IterationRecord, library: SkillLibrary,
 
     Batch update: advantages for one entry are summed over the whole
     iteration before folding, so candidate arrival order is irrelevant.
-    Idempotent per (run_id, iteration index).
+    Idempotent per ``key``, the digest of the iteration's canonical JSON
+    that ``TrajectoryStore.finalize_iteration`` returns.
     """
     if not iteration.finalized:
         raise SkillError(f"iteration {iteration.index} is not finalized")
-    key = (run_id, iteration.index)
     if key in library.distilled_iterations:
         return library
     library.distilled_iterations.append(key)
@@ -183,13 +186,13 @@ def match(pattern: str, library: SkillLibrary) -> MatchResult:
 def merge(libraries: list[SkillLibrary]) -> SkillLibrary:
     """Combine libraries distilled from disjoint iterations: counts sum, and
     means combine pass-count-weighted. Two libraries that distilled the same
-    (run id, iteration) would count its evidence twice, so that raises."""
+    iteration would count its evidence twice, so that raises."""
     merged = SkillLibrary()
     for lib in libraries:
         for key in lib.distilled_iterations:
             if key in merged.distilled_iterations:
-                raise SkillError(f"libraries share distilled iteration {key[1]} of run "
-                                 f"{key[0]!r}; merging would count its evidence twice")
+                raise SkillError(f"libraries share distilled iteration {key}; "
+                                 "merging would count its evidence twice")
         merged.distilled_iterations.extend(lib.distilled_iterations)
         for key, skill in lib.entries.items():
             existing = merged.entries.get(key)

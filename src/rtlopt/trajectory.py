@@ -53,6 +53,8 @@ def canonical_json(obj) -> str:
 
 
 def design_hash(source: str) -> str:
+    """16-hex sha256 prefix: a design's reference, and the key of a distilled
+    iteration (of its canonical JSON)."""
     return hashlib.sha256(source.encode()).hexdigest()[:16]
 
 
@@ -60,7 +62,7 @@ def design_hash(source: str) -> str:
 class CandidateRecord(Record):
     candidate_id: str
     design_ref: str            # content hash of the candidate source
-    proposer_kind: str         # "skill-guided" | "llm" | "rule"
+    proposer_kind: str         # "skill-guided" | "llm" | "rule" | "skipped"
     strategy: str | None = None  # catalog key; None for LLM and skipped slots
     path: int | None = None      # index into the iteration's diagnoses
     eval: EvalResult | None = None
@@ -142,12 +144,6 @@ class TrajectoryStore:
     def persist(self):
         self._persist_locked()
 
-    @classmethod
-    def load(cls, root: str) -> "TrajectoryStore":
-        with open(os.path.join(root, "state.json")) as fh:
-            state = RunState.from_dict(json.load(fh))
-        return cls(root, state)
-
     def save_design(self, source: str) -> str:
         ref = design_hash(source)
         path = os.path.join(self.root, "designs", f"{ref}.rtl")
@@ -185,8 +181,10 @@ class TrajectoryStore:
         iteration.candidates.append(record)
 
     def finalize_iteration(self, iteration: IterationRecord,
-                           advantages: tuple[float, ...], selected: str | None):
-        """``advantages`` has one value per SEC-passing candidate, in order."""
+                           advantages: tuple[float, ...], selected: str | None) -> str:
+        """``advantages`` has one value per SEC-passing candidate, in order.
+        Returns the digest of the iteration's canonical JSON, its key in a
+        skill library."""
         if iteration.finalized:
             raise TrajectoryError(f"iteration {iteration.index} already finalized")
         if len(iteration.candidates) < iteration.group_size:
@@ -206,8 +204,9 @@ class TrajectoryStore:
             cand.advantage = adv
         iteration.selected = selected
         iteration.finalized = True
-        self._encoded[iteration.index] = canonical_json(iteration.to_dict())
+        encoded = self._encoded[iteration.index] = canonical_json(iteration.to_dict())
         self._persist_locked()
+        return design_hash(encoded)
 
 
 @dataclass(frozen=True)
@@ -265,9 +264,3 @@ def convergence_steps(state: RunState,
         if series[t - 1] - series[t] >= epsilon:
             t_star = t
     return t_star
-
-
-def sec_pass_rate(state: RunState) -> float:
-    """Passing fraction over all evaluated (non-skipped) candidate slots."""
-    series = running_best(state)
-    return series[-1].pass_rate if series else 0.0

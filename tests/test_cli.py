@@ -4,14 +4,17 @@ import csv
 import io
 import json
 import os
+import re
 
 import pytest
 
 from corpus import CHAIN_ADDER_8
 from rtlopt import cli
+from rtlopt import skills as sk
 from rtlopt.backend import BackendConfig, synthesize
 from rtlopt.cli import ConfigError, load_config, main
 from rtlopt.dsl import parse
+from rtlopt.orchestrator import RunConfig
 
 
 @pytest.fixture
@@ -35,20 +38,23 @@ def _write(tmp_path, name, payload):
     return str(path)
 
 
-def test_load_config_defaults_and_sections(tmp_path):
-    assert load_config(None).candidates == 5
-    path = _write(tmp_path, "c.json", {
-        "run": {"iterations": 2, "candidates": 3, "seed": 7},
+def test_load_config_defaults_and_record_shape(tmp_path):
+    """A config file is a RunConfig record: what a run stores as its config."""
+    assert load_config(None) == RunConfig()
+    assert load_config(_write(tmp_path, "empty.json", {})) == RunConfig()
+    payload = {
+        "iterations": 2, "candidates": 3, "top_k_paths": 2, "seed": 7,
         "backend": {"clock_period": 0.6},
-        "scoring": {"alpha": 0.4, "beta": 0.4, "gamma": 0.2,
+        "weights": {"alpha": 0.4, "beta": 0.4, "gamma": 0.2,
                     "area_penalty": 0.5, "area_penalty_threshold": 0.1},
         "proposer": {"n_candidates": 3, "exploration_fraction": 0.5},
-    })
-    config = load_config(path)
+    }
+    config = load_config(_write(tmp_path, "c.json", payload))
     assert config.iterations == 2 and config.seed == 7
     assert config.backend.clock_period == 0.6
     assert config.weights.alpha == 0.4
     assert config.proposer.exploration_fraction == 0.5
+    assert config.to_dict() == payload
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
@@ -57,12 +63,16 @@ def test_load_config_rejects_unknown_section(tmp_path):
         load_config(path)
 
 
-@pytest.mark.parametrize("section, key", [
-    ("run", "early_stop"), ("proposer", "n_slots"), ("backend", "clock"),
-    ("backend", "kind"),
-])
-def test_optimize_unknown_key_exit_1(design_file, tmp_path, capsys, section, key):
-    config = _write(tmp_path, "bad.json", {section: {key: True}})
+@pytest.mark.parametrize("payload, key", [
+    ({"early_stop": True}, "early_stop"),
+    ({"convergence_epsilon": 0.01}, "convergence_epsilon"),
+    ({"proposer": {"n_slots": True}}, "n_slots"),
+    ({"backend": {"clock": True}}, "clock"),
+    ({"backend": {"kind": True}}, "kind"),
+], ids=["early_stop", "convergence_epsilon", "proposer-n_slots", "backend-clock",
+        "backend-kind"])
+def test_optimize_unknown_key_exit_1(design_file, tmp_path, capsys, payload, key):
+    config = _write(tmp_path, "bad.json", payload)
     code = main(["optimize", "--design", design_file, "--config", config,
                  "--out", str(tmp_path / "runs")])
     assert code == 1
@@ -70,8 +80,43 @@ def test_optimize_unknown_key_exit_1(design_file, tmp_path, capsys, section, key
     assert not os.path.exists(str(tmp_path / "runs"))
 
 
+@pytest.mark.parametrize("payload, unknown", [
+    ({"run": {"iterations": 2}}, "['run']"),
+    ({"scoring": {"alpha": 0.4}, "backend": {}}, "['scoring']"),
+    ({"run": {}, "scoring": {}, "proposer": {}}, "['run', 'scoring']"),
+], ids=["run", "scoring", "both"])
+def test_sectioned_config_names_its_unknown_keys(design_file, tmp_path, capsys, payload,
+                                                 unknown):
+    """The former four-section shape is not a RunConfig: the sections that are
+    not RunConfig fields are named, on one line."""
+    config = _write(tmp_path, "old.json", payload)
+    assert main(["optimize", "--design", design_file, "--config", config,
+                 "--out", str(tmp_path / "runs")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: invalid config: RunConfig: unknown keys {unknown}\n")
+    assert not (tmp_path / "runs").exists()
+
+
+def test_stored_config_reproduces_the_run(design_file, tmp_path, capsys):
+    """A finished run's state.json config, written to a file, is a config that
+    gives the same run: its three canonical artifacts are byte-identical."""
+    first = _write(tmp_path, "c.json", {"iterations": 3, "seed": 4,
+                                        "backend": {"clock_period": 0.3},
+                                        "weights": {"gamma": 0.25}})
+    assert main(["optimize", "--design", design_file, "--config", first,
+                 "--out", str(tmp_path / "one")]) == 0
+    one = tmp_path / "one" / "chain-seed4"
+    stored = json.loads((one / "state.json").read_text())["config"]
+    again = _write(tmp_path, "stored.json", stored)
+    assert main(["optimize", "--design", design_file, "--config", again,
+                 "--out", str(tmp_path / "two")]) == 0
+    for name in ("state.json", "skills.json", "result.json"):
+        assert (one / name).read_bytes() == (tmp_path / "two" / "chain-seed4" / name
+                                             ).read_bytes(), name
+
+
 def test_optimize_success_and_summary(design_file, tmp_path, capsys):
-    config = _write(tmp_path, "c.json", {"run": {"iterations": 2}})
+    config = _write(tmp_path, "c.json", {"iterations": 2})
     code = main(["optimize", "--design", design_file, "--config", config,
                  "--out", str(tmp_path / "runs")])
     out = capsys.readouterr().out
@@ -95,18 +140,21 @@ def test_optimize_with_nothing_evaluated_has_no_pass_rate(tmp_path, capsys):
         assert json.load(fh)["sec_pass_rate"] == 0.0  # the schema keeps a number
 
 
-def test_optimize_config_error_exit_1(design_file, tmp_path, capsys):
-    config = _write(tmp_path, "bad.json", {"run": {"iterations": 0}})
+@pytest.mark.parametrize("payload", [{"iterations": 0}, {"top_k_paths": 0}],
+                         ids=["iterations", "top_k_paths"])
+def test_optimize_config_error_exit_1(design_file, tmp_path, capsys, payload):
+    config = _write(tmp_path, "bad.json", payload)
     code = main(["optimize", "--design", design_file, "--config", config,
                  "--out", str(tmp_path / "runs")])
     assert code == 1
     assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 @pytest.mark.parametrize("payload", [
-    5, None, {"backend": None}, {"proposer": None}, {"run": None}, {"run": []},
-    {"run": {"seed": None}}, {"backend": {"external": 5}},
-], ids=["number", "null", "backend-null", "proposer-null", "run-null", "run-list",
+    5, None, {"backend": None}, {"proposer": None}, {"weights": None}, {"weights": []},
+    {"seed": None}, {"backend": {"external": 5}},
+], ids=["number", "null", "backend-null", "proposer-null", "weights-null", "weights-list",
         "field-null", "external-number"])
 def test_optimize_config_not_objects_is_one_line_error(design_file, tmp_path, capsys,
                                                        payload):
@@ -124,6 +172,58 @@ def test_optimize_unparseable_design_exit_1(tmp_path, capsys):
     bad.write_text("module nope(")
     assert main(["optimize", "--design", str(bad),
                  "--out", str(tmp_path / "runs")]) == 1
+
+
+def _text_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _not_utf8(tmp_path, name="bad.rtl"):
+    path = tmp_path / name
+    path.write_bytes(CHAIN_ADDER_8.encode().replace(b"+ d;", b"+ d; // \xff"))
+    return str(path)
+
+
+def _assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_config_not_utf8_exit_1(design_file, tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_bytes(b'{"iterations": 2, "seed": "\xff"}')
+    assert main(["optimize", "--design", design_file, "--config", str(config),
+                 "--out", str(tmp_path / "runs")]) == 1
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize("command", ["optimize", "eval"])
+def test_design_not_utf8_exit_1(tmp_path, capsys, command):
+    argv = [command, "--design", _not_utf8(tmp_path)]
+    if command == "optimize":
+        argv += ["--out", str(tmp_path / "runs")]
+    assert main(argv) == 1
+    _assert_one_error_line(capsys)
+    assert not (tmp_path / "runs").exists()
+
+
+GOLDEN_FILES = {
+    "missing": lambda tmp_path: str(tmp_path / "nowhere.rtl"),
+    "malformed": lambda tmp_path: _text_file(tmp_path, "nope.rtl", "module nope("),
+    "not-utf8": lambda tmp_path: _not_utf8(tmp_path, "golden.rtl"),
+}
+
+
+@pytest.mark.parametrize("make_golden", GOLDEN_FILES.values(), ids=GOLDEN_FILES.keys())
+def test_eval_unreadable_golden_exit_1(design_file, tmp_path, capsys, make_golden):
+    """--golden is read with --design: a file that cannot be read, decoded or
+    parsed is a usage error, not a failed evaluation."""
+    assert main(["eval", "--design", design_file, "--golden", make_golden(tmp_path)]) == 1
+    _assert_one_error_line(capsys)
 
 
 def test_optimize_baseline_failure_exit_2(design_file, tmp_path, capsys):
@@ -376,9 +476,11 @@ def test_report_json_format(design_file, tmp_path, capsys):
 
 def test_skills_roundtrip_via_cli(design_file, tmp_path, capsys):
     library = os.path.join(_finished_run(design_file, tmp_path), "skills.json")
-    out = str(tmp_path / "runs")
-    assert main(["optimize", "--design", design_file, "--seed", "1", "--out", out]) == 0
-    other = os.path.join(out, "chain-seed1", "skills.json")
+    out = str(tmp_path / "other")
+    config = _write(tmp_path, "c.json", {"backend": {"clock_period": 0.3}})
+    assert main(["optimize", "--design", design_file, "--config", config,
+                 "--out", out]) == 0
+    other = os.path.join(out, "chain-seed0", "skills.json")
     capsys.readouterr()
     assert main(["skills", "list", "--library", library]) == 0
     assert "wide-arithmetic" in capsys.readouterr().out
@@ -398,9 +500,66 @@ def test_skills_self_merge_exit_1(design_file, tmp_path, capsys):
     assert main(["skills", "merge", library,
                  "--library", library, "--output", str(merged)]) == 1
     err = capsys.readouterr().err
-    assert err == ("error: libraries share distilled iteration 0 of run 'chain-seed0'; "
-                   "merging would count its evidence twice\n")
+    assert re.fullmatch("error: libraries share distilled iteration [0-9a-f]{16}; "
+                        "merging would count its evidence twice\n", err)
     assert not merged.exists()
+
+
+def test_skills_merge_refuses_runs_that_differ_only_in_seed(design_file, tmp_path,
+                                                           capsys):
+    """The seed steers nothing, so two seeds distill the same iterations."""
+    library = os.path.join(_finished_run(design_file, tmp_path), "skills.json")
+    out = str(tmp_path / "seed1")
+    assert main(["optimize", "--design", design_file, "--seed", "1", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["skills", "merge", os.path.join(out, "chain-seed1", "skills.json"),
+                 "--library", library, "--output", str(tmp_path / "m.json")]) == 1
+    assert "share distilled iteration" in capsys.readouterr().err
+
+
+CHAIN_ADDER_16 = CHAIN_ADDER_8.replace("[7:0]", "[15:0]")
+
+
+def test_skills_merge_runs_of_one_design_under_two_clocks(tmp_path, capsys):
+    """Runs of one design and seed under clock 0.5 and 0.3 hold different
+    evidence, so their libraries merge."""
+    design = _text_file(tmp_path, "chain.rtl", CHAIN_ADDER_16)
+    libraries = []
+    for clock in (0.5, 0.3):
+        config = _write(tmp_path, f"clock{clock}.json", {"backend": {"clock_period": clock}})
+        out = tmp_path / f"clock{clock}"
+        assert main(["optimize", "--design", design, "--config", config,
+                     "--out", str(out)]) == 0
+        libraries.append(str(out / "chain-seed0" / "skills.json"))
+    merged = tmp_path / "merged.json"
+    assert main(["skills", "merge", libraries[1], "--library", libraries[0],
+                 "--output", str(merged)]) == 0
+    keys = [json.loads(open(p).read())["distilled_iterations"] for p in libraries]
+    assert json.loads(merged.read_text())["distilled_iterations"] == sorted(sum(keys, []))
+
+
+def test_warm_run_on_the_same_design_learns(design_file, tmp_path, capsys):
+    """A run that starts from a library distilled on the same design distills
+    its own iterations into it."""
+    library = os.path.join(_finished_run(design_file, tmp_path), "skills.json")
+    warm = tmp_path / "warm"
+    assert main(["optimize", "--design", design_file, "--skills", library,
+                 "--out", str(warm)]) == 0
+    with open(library) as fh:
+        before = json.load(fh)
+    after = json.loads((warm / "chain-seed0" / "skills.json").read_text())
+    assert set(before["distilled_iterations"]) < set(after["distilled_iterations"])
+    occurrences = [sum(e["occurrence_count"] for e in lib["entries"])
+                   for lib in (before, after)]
+    assert occurrences[1] > occurrences[0]
+
+
+@pytest.mark.parametrize("action", ["export", "merge"])
+def test_skills_write_needs_output(tmp_path, capsys, action):
+    library = _write(tmp_path, "lib.json", {"version": sk.SCHEMA_VERSION, "entries": []})
+    argv = ["skills", action] + ([library] if action == "merge" else [])
+    assert main(argv + ["--library", library]) == 1
+    assert capsys.readouterr().err == f"error: skills {action} needs --output\n"
 
 
 def test_skills_import_invalid_exit_1(tmp_path, capsys):
@@ -409,10 +568,9 @@ def test_skills_import_invalid_exit_1(tmp_path, capsys):
     assert main(["skills", "import", "--library", str(bad)]) == 1
 
 
-_BOGUS_ENTRY = {"version": 2, "entries": [{"pattern": "wide-arithmetic",
-                                          "strategy": "tree-rebalance", "bogus": 1}]}
-_STORED_TIER = {"version": 2, "entries": [{"pattern": "wide-arithmetic",
-                                          "strategy": "tree-rebalance", "tier": "bogus"}]}
+_ENTRY = {"pattern": "wide-arithmetic", "strategy": "tree-rebalance"}
+_BOGUS_ENTRY = {"version": sk.SCHEMA_VERSION, "entries": [{**_ENTRY, "bogus": 1}]}
+_STORED_TIER = {"version": sk.SCHEMA_VERSION, "entries": [{**_ENTRY, "tier": "bogus"}]}
 
 
 @pytest.mark.parametrize("command", ["skills", "optimize"])

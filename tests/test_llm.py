@@ -283,7 +283,7 @@ def test_optimize_against_truncating_endpoint_fills_slots_from_rules(stub_server
     design.write_text(CHAIN_ADDER_8)
     config = tmp_path / "llm.json"
     config.write_text(json.dumps({
-        "run": {"iterations": 2},
+        "iterations": 2,
         "proposer": {"n_candidates": 3,
                      "llm": {"base_url": stub_server, "model": "stub-model",
                              "max_retries": 0}}}))

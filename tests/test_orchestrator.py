@@ -18,7 +18,12 @@ from rtlopt.orchestrator import (
 )
 from rtlopt.proposer import Proposal, ProposerConfig
 from rtlopt.skills import SkillLibrary, import_library
-from rtlopt.trajectory import RunState, TrajectoryStore, canonical_json
+from rtlopt.trajectory import (
+    RunState,
+    canonical_json,
+    convergence_steps,
+    running_best,
+)
 
 
 def _config(iterations=3, candidates=5, **kw):
@@ -67,19 +72,17 @@ def test_recomputed_metrics_match_result(tmp_path):
     design = parse(CHAIN_ADDER_8, "chain.rtl")
     config = _config()
     result = run(design, config, str(tmp_path))
-    store = TrajectoryStore.load(result.run_dir)
-    from rtlopt.trajectory import convergence_steps, sec_pass_rate
-    assert sec_pass_rate(store.state) == result.sec_pass_rate
-    assert convergence_steps(store.state,
-                             config.convergence_epsilon) == result.convergence_steps
+    with open(os.path.join(result.run_dir, "state.json")) as fh:
+        state = RunState.from_dict(json.load(fh))
+    assert running_best(state)[-1].pass_rate == result.sec_pass_rate
+    assert convergence_steps(state) == result.convergence_steps
 
 
 def test_skill_preload_converges_no_slower(tmp_path):
     design = parse(CHAIN_ADDER_8, "chain.rtl")
     cold = run(design, _config(), str(tmp_path / "cold"))
     library = import_library(os.path.join(cold.run_dir, "skills.json"))
-    warm = run(design, _config(), str(tmp_path / "warm"), library=library,
-               run_id="chain-warm")
+    warm = run(design, _config(), str(tmp_path / "warm"), library=library)
     assert warm.convergence_steps <= cold.convergence_steps
     assert warm.best_metrics.wns >= cold.best_metrics.wns - 1e-9
 

@@ -37,7 +37,7 @@ from rtlopt.rewrites import STRATEGY_FUNCTIONS, NotApplicable, apply_strategy
 from rtlopt.scoring import CandidateScore, group_advantage
 from rtlopt.skills import SkillLibrary, distill, merge
 from rtlopt.timing import BottleneckDiagnosis, RtlRegion, TimingPath
-from rtlopt.trajectory import CandidateRecord, IterationRecord, canonical_json
+from rtlopt.trajectory import CandidateRecord, IterationRecord, canonical_json, design_hash
 
 _VARS = ("a", "b", "c")
 # Both sides of every dtype boundary of the batch engine.
@@ -431,8 +431,9 @@ def test_merging_disjoint_libraries_is_distilling_their_union(groups):
     whole, parts = SkillLibrary(), [SkillLibrary() for _ in range(3)]
     for t, (slots, owner) in enumerate(groups):
         iteration = _finalized_iteration(t, slots)
-        distill(iteration, whole, run_id="r")
-        distill(iteration, parts[owner], run_id="r")
+        key = design_hash(canonical_json(iteration.to_dict()))
+        distill(iteration, whole, key)
+        distill(iteration, parts[owner], key)
     merged = merge(parts)
     assert sorted(merged.distilled_iterations) == sorted(whole.distilled_iterations)
     assert merged.entries.keys() == whole.entries.keys()

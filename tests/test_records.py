@@ -77,7 +77,7 @@ RECORDS = {
     "proposer": ProposerConfig(),
     "run-config": RunConfig(2, 3, 1, ScoreWeights(gamma=0.3),
                             BackendConfig(0.1, EXTERNAL),
-                            ProposerConfig(3, 0.5, LLM), 0.01, 7),
+                            ProposerConfig(3, 0.5, LLM), 7),
     "skill": Skill("wide-arithmetic", "tree-rebalance", 3, 2, -0.5),
 }
 

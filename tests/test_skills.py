@@ -15,7 +15,7 @@ from rtlopt.skills import (
     merge,
 )
 from rtlopt.timing import BottleneckDiagnosis, RtlRegion, TimingPath
-from rtlopt.trajectory import CandidateRecord, IterationRecord
+from rtlopt.trajectory import CandidateRecord, IterationRecord, canonical_json, design_hash
 
 
 def _diag(pattern):
@@ -44,6 +44,11 @@ def _iteration(index, cands):
                            candidates=cands, finalized=True)
 
 
+def _distill(iteration, library):
+    """Distill under the key the loop uses: the iteration's digest."""
+    distill(iteration, library, design_hash(canonical_json(iteration.to_dict())))
+
+
 def test_distill_creates_entry_with_batch_mean():
     lib = SkillLibrary()
     it = _iteration(0, [
@@ -51,7 +56,7 @@ def test_distill_creates_entry_with_batch_mean():
         _cand("c1", "wide-arithmetic", "tree-rebalance", 0.5),
         _cand("c2", "wide-arithmetic", "decomposition", 0.2, sec_pass=False),
     ])
-    distill(it, lib, run_id="run-a")
+    _distill(it, lib)
     skill = lib.get("wide-arithmetic", "tree-rebalance")
     assert skill.occurrence_count == 2
     assert skill.sec_pass_count == 2
@@ -59,19 +64,22 @@ def test_distill_creates_entry_with_batch_mean():
     failing = lib.get("wide-arithmetic", "decomposition")
     assert failing.occurrence_count == 1
     assert failing.sec_pass_count == 0
-    assert lib.distilled_iterations == [("run-a", 0)]
+    assert lib.distilled_iterations == [design_hash(canonical_json(it.to_dict()))]
 
 
-def test_distill_idempotent_per_run_iteration():
+def test_distill_idempotent_per_iteration_content():
     lib = SkillLibrary()
     it = _iteration(0, [_cand("c0", "wide-arithmetic", "tree-rebalance", -1.0)])
-    distill(it, lib, run_id="r")
+    _distill(it, lib)
     before = lib.to_dict()
-    distill(it, lib, run_id="r")
+    _distill(it, lib)
     assert lib.to_dict() == before
-    # same index under a different run id is new evidence
-    distill(it, lib, run_id="r2")
+    # The same index with other content (another parent) is new evidence.
+    other = _iteration(0, [_cand("c0", "wide-arithmetic", "tree-rebalance", -1.0)])
+    other.parent_id = "q"
+    _distill(other, lib)
     assert lib.get("wide-arithmetic", "tree-rebalance").occurrence_count == 2
+    assert len(lib.distilled_iterations) == 2
 
 
 def test_distill_order_independent_within_iteration():
@@ -79,8 +87,8 @@ def test_distill_order_independent_within_iteration():
     b = SkillLibrary()
     cands = [_cand("c0", "wide-arithmetic", "tree-rebalance", -1.0),
              _cand("c1", "wide-arithmetic", "tree-rebalance", 0.5)]
-    distill(_iteration(0, cands), a, run_id="r")
-    distill(_iteration(0, list(reversed(cands))), b, run_id="r")
+    _distill(_iteration(0, cands), a)
+    _distill(_iteration(0, list(reversed(cands))), b)
     assert a.to_dict()["entries"] == b.to_dict()["entries"]
 
 
@@ -92,19 +100,19 @@ def test_distill_skips_skipped_and_requires_finalized():
     llm.proposer_kind = "llm"
     failed = _cand("c2", "wide-arithmetic", "tree-rebalance", None)
     failed.status, failed.eval, failed.score = "eval-error", None, None
-    distill(_iteration(0, [skipped, llm, failed]), lib, run_id="r")
+    _distill(_iteration(0, [skipped, llm, failed]), lib)
     assert not lib.entries
     pending = _iteration(1, [_cand("c1", "wide-arithmetic", "tree-rebalance", -1.0)])
     pending.finalized = False
     with pytest.raises(SkillError):
-        distill(pending, lib, run_id="r")
+        _distill(pending, lib)
 
 
 def test_distill_requires_each_passers_advantage():
     lib = SkillLibrary()
     unscored = _cand("c0", "wide-arithmetic", "tree-rebalance", None)
     with pytest.raises(SkillError, match="c0 has no advantage"):
-        distill(_iteration(0, [unscored]), lib, run_id="r")
+        _distill(_iteration(0, [unscored]), lib)
 
 
 def _skill(occ, passes, mean):
@@ -155,8 +163,8 @@ def test_match_ranks_by_tier_then_mean():
 
 
 def test_merge_count_weighted_and_commutative():
-    def lib_with(occ, passes, mean, run_id):
-        lib = SkillLibrary(distilled_iterations=[(run_id, 0)])
+    def lib_with(occ, passes, mean, key):
+        lib = SkillLibrary(distilled_iterations=[key])
         s = Skill(pattern="wide-arithmetic", strategy="tree-rebalance",
                   occurrence_count=occ, sec_pass_count=passes, mean_advantage=mean)
         lib.entries[(s.pattern, s.strategy)] = s
@@ -169,7 +177,7 @@ def test_merge_count_weighted_and_commutative():
     assert skill.occurrence_count == 4
     assert skill.sec_pass_count == 3
     assert skill.mean_advantage == pytest.approx((-0.5 * 2 + 0.4 * 1) / 3)
-    assert sorted(ab.distilled_iterations) == [("ra", 0), ("rb", 0)]
+    assert sorted(ab.distilled_iterations) == ["ra", "rb"]
 
     ba = merge([b, a])
     assert ba.to_dict()["entries"] == ab.to_dict()["entries"]
@@ -181,11 +189,11 @@ def test_merge_count_weighted_and_commutative():
 
 
 def test_merge_refuses_libraries_that_share_an_iteration():
-    a = SkillLibrary(distilled_iterations=[("ra", 0), ("ra", 1)])
-    b = SkillLibrary(distilled_iterations=[("rb", 0), ("ra", 1)])
-    with pytest.raises(SkillError, match="iteration 1 of run 'ra'"):
+    a = SkillLibrary(distilled_iterations=["a0", "a1"])
+    b = SkillLibrary(distilled_iterations=["b0", "a1"])
+    with pytest.raises(SkillError, match="iteration a1;"):
         merge([a, b])
-    with pytest.raises(SkillError, match="iteration 0 of run 'ra'"):
+    with pytest.raises(SkillError, match="iteration a0;"):
         merge([a, a])
 
 
@@ -193,7 +201,7 @@ def test_export_import_roundtrip(tmp_path):
     lib = SkillLibrary()
     it = _iteration(0, [_cand("c0", "wide-arithmetic", "tree-rebalance", -1.0),
                         _cand("c1", "mux-heavy-selection", "mux-restructure", -0.4)])
-    distill(it, lib, run_id="r")
+    _distill(it, lib)
     path = str(tmp_path / "skills.json")
     export_library(lib, path)
     again = import_library(path)
@@ -208,10 +216,14 @@ _ENTRY = '{"pattern":"wide-arithmetic","strategy":"tree-rebalance"'
 @pytest.mark.parametrize("text, problem", [
     ('{"version":99,"entries":[]}', "version 99"),
     ('{"version":1,"provenance":[],"entries":[]}', "version 1"),
-    ('{"version":2,"entries":[],"bogus":1}', "bogus"),
-    ('{"version":2,"entries":[' + _ENTRY + ',"tier":"high"}]}', "tier"),
-    ('{"version":2,"entries":[' + _ENTRY + ',"template":""}]}', "template"),
-], ids=["version-99", "version-1", "unknown-key", "entry-tier", "entry-template"])
+    ('{"version":2,"distilled_iterations":[["r",0]],"entries":[]}', "version 2"),
+    ('{"version":3,"entries":[],"bogus":1}', "bogus"),
+    ('{"version":3,"entries":[' + _ENTRY + ',"tier":"high"}]}', "tier"),
+    ('{"version":3,"entries":[' + _ENTRY + ',"template":""}]}', "template"),
+    ('{"version":3,"distilled_iterations":[["r",0]],"entries":[]}', "list of strings"),
+    ('{"version":3,"distilled_iterations":"ab","entries":[]}', "list of strings"),
+], ids=["version-99", "version-1", "version-2", "unknown-key", "entry-tier",
+        "entry-template", "run-iteration-key", "keys-not-a-list"])
 def test_import_rejects_bad_schema(tmp_path, text, problem):
     path = str(tmp_path / "bad.json")
     with open(path, "w") as fh:

@@ -26,7 +26,6 @@ from rtlopt.trajectory import (
     convergence_steps,
     design_hash,
     running_best,
-    sec_pass_rate,
 )
 
 
@@ -87,13 +86,15 @@ def test_store_lifecycle_and_reload(tmp_path):
     cand.strategy, cand.path = "tree-rebalance", 0
     store.record_candidate(it, cand)
     store.record_candidate(it, _cand("t0c1", -0.1))
-    store.finalize_iteration(it, group_advantage([-0.4, -0.1]), "t0c0")
+    key = store.finalize_iteration(it, group_advantage([-0.4, -0.1]), "t0c0")
+    # An iteration's key is the digest of its canonical JSON.
+    assert key == design_hash(canonical_json(it.to_dict()))
 
-    reloaded = TrajectoryStore.load(str(tmp_path / "run1"))
-    assert reloaded.state.to_dict() == store.state.to_dict()
-    # byte-identical re-serialization
     with open(store.state_path) as fh:
         on_disk = fh.read()
+    reloaded = RunState.from_dict(json.loads(on_disk))
+    assert reloaded.to_dict() == store.state.to_dict()
+    # byte-identical re-serialization
     assert on_disk == canonical_json(store.state.to_dict())
 
 
@@ -250,7 +251,7 @@ def test_sec_pass_rate_excludes_skipped():
         _cand("c3", -0.2),
     ], finalized=True)
     state.iterations.append(it)
-    assert sec_pass_rate(state) == pytest.approx(2 / 3)
+    assert running_best(state)[-1].pass_rate == pytest.approx(2 / 3)
 
 
 def test_runstate_roundtrip():
