@@ -141,7 +141,7 @@ class ExternalConfig(Settings):
     synth_command_template: str
     sec_command_template: str = ""
     metric_patterns: dict = field(default_factory=dict)  # name -> regex with one group
-    report_files: tuple = ()
+    report_files: tuple[str, ...] = ()
     timeout_s: float = EXTERNAL_TIMEOUT_S
 
     def __post_init__(self):
@@ -161,7 +161,10 @@ class ExternalConfig(Settings):
             if unknown:
                 raise ValueError(f"unknown placeholder {{{unknown[0]}}} in {template!r}; "
                                  f"known: {', '.join(PLACEHOLDERS)}")
-            template.format(design_dir="", top="", clock_ns=1.0)  # fails as a run would
+            try:  # fails as a run would, on a placeholder nested in a format spec too
+                template.format(design_dir="", top="", clock_ns=1.0)
+            except (KeyError, IndexError) as exc:
+                raise ValueError(f"bad placeholder in {template!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -533,7 +536,7 @@ def _external_synthesize(design: RtlDesign,
         return metrics, TimingReport(config.clock_period, ())
     try:
         return metrics, TimingReport.from_dict(json.loads(report_json))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         raise BackendError(
             f"timing_report.json is not in the interchange schema: {exc!r}") from exc
 

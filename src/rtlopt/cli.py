@@ -4,11 +4,12 @@ A config file is one ``RunConfig`` record, the object a run stores under
 ``config`` in its state.json, so that object reproduces the run. Every
 default matches the built-in evaluation setup, so ``{}`` is a valid run.
 
-Exit codes: 0 success, 1 usage or configuration error, 2 baseline evaluation
-failure, 3 internal error (an exception no command maps, reported on one
-stderr line).
-An external backend is checked when the config is loaded (exit 1); a tool
-that fails or times out during ``eval`` or a baseline evaluation exits 2.
+Exit codes: 0 success, 1 usage or configuration error (an input that cannot
+be read or is not valid, or a file that cannot be written), 2 baseline
+evaluation failure, 3 internal error. Commands raise; ``main`` maps the
+exception's type to its code in ``EXIT_CODES`` and reports it on one stderr
+line. An external backend is checked when the config is loaded (exit 1); a
+tool that fails or times out during ``eval`` or a baseline evaluation exits 2.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from . import skills as sk
 from .dsl import RtlError, parse
 from .llm import LlmClient
 from .orchestrator import BaselineEvaluationError, RunConfig, run
+from .records import ConfigError, read_record
 from .trajectory import CANDIDATE_OK, RunState, canonical_json, running_best
 
 EXIT_OK = 0
@@ -33,22 +35,8 @@ EXIT_BASELINE = 2
 EXIT_INTERNAL = 3
 
 
-class ConfigError(Exception):
-    pass
-
-
 def load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        return RunConfig.from_dict(raw)
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"invalid config: {exc}") from exc
+    return RunConfig() if path is None else read_record(path, RunConfig, "config")
 
 
 def _load_design(path: str):
@@ -63,35 +51,27 @@ def _load_design(path: str):
         raise ConfigError(str(exc)) from exc
 
 
+def _load_state(run_dir: str) -> RunState:
+    return read_record(os.path.join(run_dir, "state.json"), RunState, "run state")
+
+
 def _fmt_delta(value: float, pct: float) -> str:
     return f"{value:g} ({pct:.1f}%)"
 
 
-def cmd_optimize(args) -> int:
-    try:
-        config = load_config(args.config)
-        design = _load_design(args.design)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+def cmd_optimize(args) -> None:
+    config = load_config(args.config)
+    design = _load_design(args.design)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    try:
-        library = sk.import_library(args.skills) if args.skills else sk.SkillLibrary()
-    except sk.SkillError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    library = sk.import_library(args.skills) if args.skills else sk.SkillLibrary()
     llm_client = (LlmClient(config.proposer.llm,
                             transcript_dir=os.path.join(args.out, "llm"))
                   if config.proposer.llm else None)
-    try:
-        result = run(design, config, args.out, library=library, llm_client=llm_client)
-    except BaselineEvaluationError as exc:
-        print(f"error: baseline evaluation failed: {exc}", file=sys.stderr)
-        return EXIT_BASELINE
+    result = run(design, config, args.out, library=library, llm_client=llm_client)
 
     state = _load_state(result.run_dir)
-    baseline = be.PpaMetrics.from_dict(state.baseline)
+    baseline = state.baseline
     # A rate over no evaluated candidate is not 0; result.json still says 0.0.
     pass_rate = (f"{result.sec_pass_rate:.2f}" if running_best(state)[-1].evaluated
                  else "n/a (0 evaluated)")
@@ -104,59 +84,29 @@ def cmd_optimize(args) -> int:
     print(f"{'area':<8}{baseline.area:>12g}{_fmt_delta(best.area, imp['area_pct']):>22}")
     print(f"SEC pass rate: {pass_rate}  "
           f"convergence steps: {result.convergence_steps}  status: {result.status}")
-    return EXIT_OK
 
 
-def cmd_eval(args) -> int:
-    try:
-        config = load_config(args.config)
-        design = _load_design(args.design)
-        golden = _load_design(args.golden) if args.golden else None
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if golden is not None:
-            result, _ = be.evaluate(design, config.backend, be.GoldenSec(golden))
-            payload = {**result.metrics.to_dict(), "sec_pass": result.sec_pass,
-                       "sec_mode": result.sec_mode}
-        else:
-            payload = be.synthesize(design, config.backend)[0].to_dict()
-    except be.PortInterfaceMismatch as exc:
-        print(f"error: port interface mismatch: {exc}", file=sys.stderr)
-        return EXIT_BASELINE
-    except (be.BackendError, RtlError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BASELINE
-    print(json.dumps(payload, indent=2, sort_keys=True))
-    return EXIT_OK
-
-
-def _load_state(run_dir: str) -> RunState:
-    path = os.path.join(run_dir, "state.json")
-    if not os.path.exists(path):
-        raise ConfigError(f"no state.json under {run_dir}")
-    try:
-        with open(path) as fh:
-            return RunState.from_dict(json.load(fh))
-    except (KeyError, TypeError, ValueError) as exc:  # JSONDecodeError is a ValueError
-        raise ConfigError(f"{path} is not a run state of this version: {exc!r}") from exc
-
-
-def cmd_show(args) -> int:
-    try:
-        state = _load_state(args.run)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.iteration is not None:
-        if not 0 <= args.iteration < len(state.iterations):
-            print(f"error: iteration {args.iteration} out of range "
-                  f"[0, {len(state.iterations) - 1}]", file=sys.stderr)
-            return EXIT_CONFIG
-        iterations = [state.iterations[args.iteration]]
+def cmd_eval(args) -> None:
+    config = load_config(args.config)
+    design = _load_design(args.design)
+    golden = _load_design(args.golden) if args.golden else None
+    if golden is not None:
+        result, _ = be.evaluate(design, config.backend, be.GoldenSec(golden))
+        payload = {**result.metrics.to_dict(), "sec_pass": result.sec_pass,
+                   "sec_mode": result.sec_mode}
     else:
-        iterations = state.iterations
+        payload = be.synthesize(design, config.backend)[0].to_dict()
+    print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def cmd_show(args) -> None:
+    state = _load_state(args.run)
+    iterations = state.iterations
+    if args.iteration is not None:
+        if not 0 <= args.iteration < len(iterations):
+            raise ConfigError(f"iteration {args.iteration} out of range "
+                              f"[0, {len(iterations) - 1}]")
+        iterations = [iterations[args.iteration]]
     print(f"run {state.run_id} ({state.design_name}, {state.status})")
     for it in iterations:
         print(f"iteration {it.index}: parent {it.parent_id}, "
@@ -174,38 +124,29 @@ def cmd_show(args) -> int:
                 print(f"    path {d.path.startpoint}->{d.path.endpoint} "
                       f"{d.root_cause} -> {cand.strategy or cand.proposer_kind} "
                       f"({'sec-pass' if cand.sec_pass else 'sec-fail'})")
-    return EXIT_OK
 
 
-def cmd_skills(args) -> int:
-    try:
-        if args.action == "list":
-            library = sk.import_library(args.library) if args.library else sk.SkillLibrary()
-            for skill in sorted(library.sorted_entries(), key=lambda s: sk.TIERS.index(s.tier)):
-                rate = (skill.sec_pass_count / skill.occurrence_count
-                        if skill.occurrence_count else 0.0)
-                print(f"{skill.tier:<8}{skill.pattern:<24}{skill.strategy:<32}"
-                      f"occ={skill.occurrence_count:<4}pass={rate:.2f} "
-                      f"adv={skill.mean_advantage:+.3f}")
-            return EXIT_OK
-        if args.action in ("export", "merge") and args.output is None:
-            raise sk.SkillError(f"skills {args.action} needs --output")
-        if args.action == "export":
-            library = sk.import_library(args.library)
-            sk.export_library(library, args.output)
-            return EXIT_OK
-        if args.action == "import":
-            sk.import_library(args.library)  # validation is the point
-            print("ok")
-            return EXIT_OK
-        if args.action == "merge":
-            libraries = [sk.import_library(p) for p in [args.library] + args.extra]
-            sk.export_library(sk.merge(libraries), args.output)
-            return EXIT_OK
-    except (sk.SkillError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    raise AssertionError(args.action)
+def cmd_skills(args) -> None:
+    if args.action != "list" and args.library is None:
+        raise ConfigError(f"skills {args.action} needs --library")
+    if args.action in ("export", "merge") and args.output is None:
+        raise ConfigError(f"skills {args.action} needs --output")
+    if args.action == "list":
+        library = sk.import_library(args.library) if args.library else sk.SkillLibrary()
+        for skill in sorted(library.sorted_entries(), key=lambda s: sk.TIERS.index(s.tier)):
+            rate = (skill.sec_pass_count / skill.occurrence_count
+                    if skill.occurrence_count else 0.0)
+            print(f"{skill.tier:<8}{skill.pattern:<24}{skill.strategy:<32}"
+                  f"occ={skill.occurrence_count:<4}pass={rate:.2f} "
+                  f"adv={skill.mean_advantage:+.3f}")
+    elif args.action == "import":
+        sk.import_library(args.library)  # validation is the point
+        print("ok")
+    elif args.action == "export":
+        sk.export_library(sk.import_library(args.library), args.output)
+    else:
+        libraries = [sk.import_library(p) for p in [args.library] + args.extra]
+        sk.export_library(sk.merge(libraries), args.output)
 
 
 REPORT_COLUMNS = ["t", "best_wns", "best_tns", "best_area", "best_score",
@@ -213,10 +154,9 @@ REPORT_COLUMNS = ["t", "best_wns", "best_tns", "best_area", "best_score",
 
 
 def report_rows(state: RunState) -> list[dict]:
-    baseline = be.PpaMetrics.from_dict(state.baseline)
     rows = []
     for it, best in zip(state.iterations, running_best(state)):
-        metrics = best.candidate.eval.metrics if best.candidate else baseline
+        metrics = best.candidate.eval.metrics if best.candidate else state.baseline
         rows.append({
             "t": it.index,
             "best_wns": metrics.wns,
@@ -228,20 +168,14 @@ def report_rows(state: RunState) -> list[dict]:
     return rows
 
 
-def cmd_report(args) -> int:
-    try:
-        state = _load_state(args.run)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    rows = report_rows(state)
+def cmd_report(args) -> None:
+    rows = report_rows(_load_state(args.run))
     if args.format == "json":
         print(canonical_json(rows))
     else:
         writer = csv.DictWriter(sys.stdout, fieldnames=REPORT_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -292,14 +226,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# An exception of a listed type exits with its code, on one stderr line with
+# its prefix; the first match wins, and any other exception is internal.
+EXIT_CODES = (
+    ((ConfigError, sk.SkillError, OSError), EXIT_CONFIG, ""),
+    (BaselineEvaluationError, EXIT_BASELINE, "baseline evaluation failed: "),
+    (be.PortInterfaceMismatch, EXIT_BASELINE, "port interface mismatch: "),
+    ((be.BackendError, RtlError), EXIT_BASELINE, ""),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except Exception as exc:
-        print(f"error: internal: {type(exc).__name__}: {' '.join(str(exc).split())}",
-              file=sys.stderr)
-        return EXIT_INTERNAL
+        code, prefix = next(((code, prefix) for kind, code, prefix in EXIT_CODES
+                             if isinstance(exc, kind)),
+                            (EXIT_INTERNAL, f"internal: {type(exc).__name__}: "))
+        print(f"error: {prefix}{' '.join(str(exc).split())}", file=sys.stderr)
+        return code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -118,8 +118,7 @@ def run(design: RtlDesign, config: RunConfig, out_dir: str,
         raise BaselineEvaluationError(str(exc)) from exc
 
     state = RunState(run_id=run_id, design_name=design.name,
-                     config=config.to_dict(),
-                     baseline=baseline_metrics.to_dict())
+                     config=config.to_dict(), baseline=baseline_metrics)
     store = TrajectoryStore(run_dir, state)
     state.baseline_design_ref = store.save_design(design.source)
     store.persist()

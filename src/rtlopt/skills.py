@@ -11,10 +11,9 @@ canonical JSON, and merges only libraries whose keys are disjoint.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
-from .records import Settings
+from .records import Settings, read_record
 from .rewrites import STRATEGY_FUNCTIONS
 from .timing import ROOT_CAUSE_PATTERN
 from .trajectory import CANDIDATE_OK, IterationRecord, canonical_json
@@ -31,8 +30,8 @@ TIERS = (TIER_HIGH, TIER_MEDIUM, TIER_LOW, TIER_AVOID)  # most trusted first
 SCHEMA_VERSION = 3
 
 
-class SkillError(Exception):
-    pass
+class SkillError(ValueError):
+    """A skill library that is not valid, or libraries that cannot merge."""
 
 
 @dataclass
@@ -89,30 +88,31 @@ class SkillLibrary:
         return [self.entries[k] for k in sorted(self.entries)]
 
     def to_dict(self) -> dict:
-        return {
-            "version": SCHEMA_VERSION,
-            "distilled_iterations": sorted(self.distilled_iterations),
-            "entries": [s.to_dict() for s in self.sorted_entries()],
-        }
+        return StoredLibrary(SCHEMA_VERSION, self.sorted_entries(),
+                             sorted(self.distilled_iterations)).to_dict()
 
     @classmethod
     def from_dict(cls, d: dict) -> "SkillLibrary":
-        if d.get("version") != SCHEMA_VERSION:
-            raise SkillError(f"unsupported skill schema version {d.get('version')!r}")
-        unknown = d.keys() - {"version", "distilled_iterations", "entries"}
-        if unknown:
-            raise SkillError(f"unknown keys {sorted(unknown)}")
-        keys = d.get("distilled_iterations", [])
-        if not isinstance(keys, list) or not all(isinstance(k, str) for k in keys):
-            raise SkillError("distilled_iterations must be a list of strings")
-        lib = cls(distilled_iterations=list(keys))
-        for entry in d["entries"]:
-            skill = Skill.from_dict(entry)
+        # The version is read first, so a file of another schema says so.
+        version = d.get("version") if isinstance(d, dict) else None
+        if version != SCHEMA_VERSION:
+            raise SkillError(f"unsupported skill schema version {version!r}")
+        stored = StoredLibrary.from_dict(d)
+        lib = cls(distilled_iterations=stored.distilled_iterations)
+        for skill in stored.entries:
             key = (skill.pattern, skill.strategy)
             if key in lib.entries:
                 raise SkillError(f"duplicate entry {skill.skill_id}")
             lib.entries[key] = skill
         return lib
+
+
+@dataclass
+class StoredLibrary(Settings):
+    """A skill library as its file stores it."""
+    version: int
+    entries: list[Skill]
+    distilled_iterations: list[str] = field(default_factory=list)
 
 
 def _fold(skill: Skill, occurrences: int, passes: int, advantage_sum: float):
@@ -211,12 +211,5 @@ def export_library(library: SkillLibrary, path: str):
 
 def import_library(path: str) -> SkillLibrary:
     """Read a library file; one that is missing, unreadable or malformed
-    raises SkillError."""
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-        if not isinstance(data, dict):
-            raise SkillError(f"skill library {path}: not a JSON object")
-        return SkillLibrary.from_dict(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
-        raise SkillError(f"skill library {path}: {exc!r}") from exc
+    raises ConfigError."""
+    return read_record(path, SkillLibrary, "skill library")

@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .dsl import Expr, RtlDesign, reference_counts, topo_order
-from .records import Record
+from .records import Record, Settings
 
 # Diagnosis root cause -> skill-library pattern id.
 ROOT_CAUSE_PATTERN = {
@@ -43,7 +43,7 @@ DEPTH_LIMIT = 6
 
 
 @dataclass(frozen=True)
-class Stage(Record):
+class Stage(Settings):
     node: str
     op: str
     delay_ns: float
@@ -59,13 +59,14 @@ class Stage(Record):
 
     @classmethod
     def from_dict(cls, d: dict) -> "Stage":
-        loc = d["loc"]
-        unknown = ({*d} - {"node", "op", "delay_ns", "width", "loc"}
-                   | {*loc} - {"file", "line", "col"})
-        if unknown:  # a misspelt width would silently read as 1
-            raise TypeError(f"Stage: unknown keys {sorted(unknown)}")
-        return cls(node=d["node"], op=d["op"], delay_ns=d["delay_ns"], file=loc["file"],
-                   line=loc["line"], col=loc.get("col", 0), width=d.get("width", 1))
+        """Decode the interchange form, whose ``loc`` holds file, line and col."""
+        loc = d.get("loc") if isinstance(d, dict) else None
+        if not isinstance(loc, dict):
+            raise TypeError("Stage must be an object with a loc object")
+        misplaced = d.keys() & {"file", "line", "col"} | loc.keys() - {"file", "line", "col"}
+        if misplaced:  # a stage key on the wrong level is off-schema too
+            raise TypeError(f"Stage: unknown keys {sorted(misplaced)}")
+        return super().from_dict({k: v for k, v in d.items() if k != "loc"} | loc)
 
 
 @dataclass(frozen=True)

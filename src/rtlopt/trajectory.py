@@ -29,7 +29,7 @@ import json
 import os
 from dataclasses import dataclass, field, replace
 
-from .backend import EvalResult
+from .backend import EvalResult, PpaMetrics
 from .records import Record
 from .scoring import CandidateScore
 from .timing import BottleneckDiagnosis
@@ -49,7 +49,8 @@ class TrajectoryError(Exception):
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False,
+                      allow_nan=False)
 
 
 def design_hash(source: str) -> str:
@@ -92,7 +93,7 @@ class RunState(Record):
     run_id: str
     design_name: str
     config: dict
-    baseline: dict | None = None          # PpaMetrics dict
+    baseline: PpaMetrics | None = None
     baseline_design_ref: str | None = None
     iterations: list[IterationRecord] = field(default_factory=list)
     status: str = STATUS_RUNNING

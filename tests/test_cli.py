@@ -6,7 +6,9 @@ import json
 import os
 import re
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from corpus import CHAIN_ADDER_8
 from rtlopt import cli
@@ -15,6 +17,7 @@ from rtlopt.backend import BackendConfig, synthesize
 from rtlopt.cli import ConfigError, load_config, main
 from rtlopt.dsl import parse
 from rtlopt.orchestrator import RunConfig
+from rtlopt.trajectory import canonical_json
 
 
 @pytest.fixture
@@ -30,6 +33,11 @@ PATTERNS = {"wns": r"wns (\S+)", "tns": r"tns (\S+)", "area": r"area (\S+)"}
 def _external(**external):
     """A config payload for the external backend."""
     return {"backend": {"external": {"metric_patterns": PATTERNS, **external}}}
+
+
+def _llm(**llm):
+    """A config payload with an LLM endpoint."""
+    return {"proposer": {"llm": {"base_url": "http://127.0.0.1:9", "model": "m", **llm}}}
 
 
 def _write(tmp_path, name, payload):
@@ -55,6 +63,45 @@ def test_load_config_defaults_and_record_shape(tmp_path):
     assert config.weights.alpha == 0.4
     assert config.proposer.exploration_fraction == 0.5
     assert config.to_dict() == payload
+
+
+# A valid config that gives every section, so each known key has a path.
+_FUZZ_BASE = RunConfig.from_dict({**_external(synth_command_template="true"),
+                                  **_llm()}).to_dict()
+
+
+def _key_paths(d, prefix=()):
+    for key, value in d.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([10**400, -10**400, 1e308, 2**63, float("nan"), "\ud800"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(sorted(_key_paths(_FUZZ_BASE))), value=_JSON)
+def test_load_config_accepts_or_rejects_any_value_at_any_key(tmp_path, path, value):
+    """Any JSON value at any key either loads as a config that can be stored,
+    or is a ConfigError; nothing else escapes."""
+    payload = json.loads(json.dumps(_FUZZ_BASE))
+    section = payload
+    for key in path[:-1]:
+        section = section[key]
+    section[path[-1]] = value
+    try:
+        config = load_config(_write(tmp_path, "fuzz.json", payload))
+    except ConfigError:
+        return
+    canonical_json(config.to_dict()).encode()
 
 
 def test_load_config_rejects_unknown_section(tmp_path):
@@ -154,8 +201,15 @@ def test_optimize_config_error_exit_1(design_file, tmp_path, capsys, payload):
 @pytest.mark.parametrize("payload", [
     5, None, {"backend": None}, {"proposer": None}, {"weights": None}, {"weights": []},
     {"seed": None}, {"backend": {"external": 5}},
+    {"backend": {"clock_period": float("nan")}}, {"iterations": 1.5},
+    {"iterations": float("inf")}, {"iterations": True}, _llm(model=5),
+    {"backend": {"clock_period": 10**400}},
+    _external(synth_command_template="true", report_files="timing_report.json"),
+    _external(synth_command_template="x {design_dir:{0}}"),
 ], ids=["number", "null", "backend-null", "proposer-null", "weights-null", "weights-list",
-        "field-null", "external-number"])
+        "field-null", "external-number", "nan-clock", "float-iterations", "inf-iterations",
+        "bool-iterations", "int-model", "int-beyond-floats", "string-report-files",
+        "nested-placeholder"])
 def test_optimize_config_not_objects_is_one_line_error(design_file, tmp_path, capsys,
                                                        payload):
     config = _write(tmp_path, "bad.json", payload)
@@ -244,11 +298,6 @@ def _assert_rejected_at_load(command, design_file, tmp_path, capsys, payload):
     err = capsys.readouterr().err
     assert err.startswith("error: invalid config") and err.count("\n") == 1
     assert not (tmp_path / "runs").exists()
-
-
-def _llm(**llm):
-    """A config payload with an LLM endpoint."""
-    return {"proposer": {"llm": {"base_url": "http://127.0.0.1:9", "model": "m", **llm}}}
 
 
 @pytest.mark.parametrize("command", ["eval", "optimize"])
@@ -434,10 +483,19 @@ def _parent_schema_state(design_file, tmp_path) -> str:
     return json.dumps(state)
 
 
+def _untyped_baseline_state(design_file, tmp_path) -> str:
+    """A fresh run's state.json whose baseline WNS is a string."""
+    with open(os.path.join(_finished_run(design_file, tmp_path), "state.json")) as fh:
+        state = json.load(fh)
+    state["baseline"]["wns"] = "x"
+    return json.dumps(state)
+
+
 STATE_PAYLOADS = {
     "truncated": lambda design_file, tmp_path: OLD_SCHEMA_STATE[:1000],
     "old-schema": lambda design_file, tmp_path: OLD_SCHEMA_STATE,
     "parent-schema": _parent_schema_state,
+    "untyped-baseline": _untyped_baseline_state,
 }
 
 
@@ -554,12 +612,18 @@ def test_warm_run_on_the_same_design_learns(design_file, tmp_path, capsys):
     assert occurrences[1] > occurrences[0]
 
 
-@pytest.mark.parametrize("action", ["export", "merge"])
-def test_skills_write_needs_output(tmp_path, capsys, action):
+@pytest.mark.parametrize("action, missing", [
+    ("export", "--output"), ("merge", "--output"),
+    ("export", "--library"), ("import", "--library"), ("merge", "--library"),
+])
+def test_skills_write_needs_output(tmp_path, capsys, action, missing):
     library = _write(tmp_path, "lib.json", {"version": sk.SCHEMA_VERSION, "entries": []})
     argv = ["skills", action] + ([library] if action == "merge" else [])
-    assert main(argv + ["--library", library]) == 1
-    assert capsys.readouterr().err == f"error: skills {action} needs --output\n"
+    given = {"--library": library, "--output": str(tmp_path / "out.json")}
+    del given[missing]
+    assert main(argv + [arg for pair in given.items() for arg in pair]) == 1
+    assert capsys.readouterr().err == f"error: skills {action} needs {missing}\n"
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_skills_import_invalid_exit_1(tmp_path, capsys):
@@ -571,11 +635,14 @@ def test_skills_import_invalid_exit_1(tmp_path, capsys):
 _ENTRY = {"pattern": "wide-arithmetic", "strategy": "tree-rebalance"}
 _BOGUS_ENTRY = {"version": sk.SCHEMA_VERSION, "entries": [{**_ENTRY, "bogus": 1}]}
 _STORED_TIER = {"version": sk.SCHEMA_VERSION, "entries": [{**_ENTRY, "tier": "bogus"}]}
+_UNTYPED_EVIDENCE = {"version": sk.SCHEMA_VERSION, "entries": [
+    {**_ENTRY, "occurrence_count": 1.5, "mean_advantage": float("nan")}]}
 
 
 @pytest.mark.parametrize("command", ["skills", "optimize"])
-@pytest.mark.parametrize("payload", [_BOGUS_ENTRY, _STORED_TIER, 5, None],
-                         ids=["unknown-key", "stored-tier", "not-an-object", "missing"])
+@pytest.mark.parametrize("payload", [_BOGUS_ENTRY, _STORED_TIER, _UNTYPED_EVIDENCE, 5, None],
+                         ids=["unknown-key", "stored-tier", "untyped-evidence",
+                              "not-an-object", "missing"])
 def test_malformed_skill_library_is_one_line_error(design_file, tmp_path, capsys,
                                                    command, payload):
     library = tmp_path / "lib.json"

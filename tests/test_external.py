@@ -175,8 +175,17 @@ _STAGE = INTERCHANGE_REPORT["endpoints"][0]["stages"][0]
                                      "stages": [{**_STAGE, "wdith": 16}]}]},
     {"clock_ns": 0.1, "endpoints": [{**INTERCHANGE_REPORT["endpoints"][0], "stages": [
         {**_STAGE, "loc": {**_STAGE["loc"], "column": 7}}]}]},
+    {"clock_ns": 0.1, "endpoints": [{**INTERCHANGE_REPORT["endpoints"][0],
+                                     "stages": [{**_STAGE, "width": "16"}]}]},
+    {"clock_ns": 0.1, "endpoints": [{**INTERCHANGE_REPORT["endpoints"][0],
+                                     "stages": [{**_STAGE, "line": 3}]}]},
+    {"clock_ns": 0.1, "endpoints": [{**INTERCHANGE_REPORT["endpoints"][0],
+                                     "stages": [{**_STAGE, "loc": "chain.rtl:3"}]}]},
+    {"clock_ns": 0.1, "endpoints": [{**INTERCHANGE_REPORT["endpoints"][0], "stages": [5]}]},
+    {"clock_ns": float("nan"), "endpoints": []},
 ], ids=["unknown-key", "missing-endpoints", "missing-path-keys", "unknown-stage-key",
-        "unknown-loc-key"])
+        "unknown-loc-key", "string-width", "line-beside-loc", "loc-not-an-object",
+        "stage-not-an-object", "nan-clock"])
 def test_external_synthesize_rejects_report_off_schema(tmp_path, report):
     with pytest.raises(BackendError, match="interchange schema"):
         synthesize(parse(CHAIN_ADDER_8), _report_flow(tmp_path, report))
@@ -285,4 +294,4 @@ def test_closed_loop_through_external_tools(tmp_path):
     assert all(c.eval.sec_mode == SEC_EXTERNAL for c in evaluated)
     regions = [d.rtl_region for it in state.iterations for d in it.diagnoses]
     assert regions and all(r.confidence == "exact" for r in regions)
-    assert result.best_metrics.wns > state.baseline["wns"]
+    assert result.best_metrics.wns > state.baseline.wns

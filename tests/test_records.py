@@ -65,7 +65,7 @@ RECORDS = {
     "candidate-eval-error": EVAL_ERROR,
     "iteration": ITERATION,
     "iteration-open": OPEN_ITERATION,
-    "state": RunState("r", "chain", RunConfig().to_dict(), METRICS.to_dict(), "root",
+    "state": RunState("r", "chain", RunConfig().to_dict(), METRICS, "root",
                       [ITERATION, OPEN_ITERATION], "budget-exhausted"),
     "state-new": RunState("r", "chain", {}),
     "weights": ScoreWeights(0.4, 0.4, 0.2, 0.25, 0.2),
@@ -114,7 +114,7 @@ def test_settings_default_absent_keys():
 def test_complete_record_requires_every_key():
     d = SKIPPED.to_dict()
     del d["strategy"]
-    with pytest.raises(KeyError, match="strategy"):
+    with pytest.raises(TypeError, match="CandidateRecord: missing key 'strategy'"):
         CandidateRecord.from_dict(d)
 
 
@@ -146,3 +146,71 @@ def test_null_for_a_non_optional_field_is_a_type_error(cls, d):
 def test_non_object_is_a_type_error(cls):
     with pytest.raises(TypeError, match="must be an object"):
         cls.from_dict([])
+
+
+_PATTERNS = {"wns": r"wns (\S+)", "tns": r"tns (\S+)", "area": r"area (\S+)"}
+_LLM = {"base_url": "http://127.0.0.1:1", "model": "m"}
+
+
+@pytest.mark.parametrize("cls, d, error, message", [
+    (RunConfig, {"iterations": True}, TypeError,
+     "RunConfig.iterations: expected an integer, got a boolean"),
+    (RunConfig, {"iterations": 1.5}, TypeError,
+     "RunConfig.iterations: expected an integer, got a number"),
+    (RunConfig, {"iterations": 2.0}, TypeError,
+     "RunConfig.iterations: expected an integer, got a number"),
+    (RunConfig, {"backend": {"clock_period": float("nan")}}, ValueError,
+     "RunConfig.backend: BackendConfig.clock_period: must be a finite float"),
+    (ScoreWeights, {"alpha": float("inf")}, ValueError,
+     "ScoreWeights.alpha: must be a finite float"),
+    (PpaMetrics, {"wns": float("-inf"), "tns": 0.0, "area": 0.0}, ValueError,
+     "PpaMetrics.wns: must be a finite float"),
+    (BackendConfig, {"clock_period": 10**400}, ValueError,
+     "BackendConfig.clock_period: must be a finite float"),
+    (BackendConfig, {"clock_period": "0.5"}, TypeError,
+     "BackendConfig.clock_period: expected a number, got a string"),
+    (ExternalConfig, {"synth_command_template": "true", "metric_patterns": _PATTERNS,
+                      "report_files": "timing_report.json"}, TypeError,
+     "ExternalConfig.report_files: expected an array, got a string"),
+    (ExternalConfig, {"synth_command_template": "true", "metric_patterns": _PATTERNS,
+                      "report_files": [5]}, TypeError,
+     "ExternalConfig.report_files: expected a string, got an integer"),
+    (ExternalConfig, {"synth_command_template": "true", "metric_patterns": []}, TypeError,
+     "ExternalConfig.metric_patterns: expected an object, got an array"),
+    (LlmSettings, {**_LLM, "model": 5}, TypeError,
+     "LlmSettings.model: expected a string, got an integer"),
+    (LlmSettings, {**_LLM, "model": "\ud800"}, ValueError,
+     "LlmSettings.model: holds a lone surrogate, which UTF-8 cannot encode"),
+    (EvalResult, {**EVAL.to_dict(), "sec_pass": 1}, TypeError,
+     "EvalResult.sec_pass: expected a boolean, got an integer"),
+    (TimingReport, {**REPORT.to_dict(), "endpoints": {}}, TypeError,
+     "TimingReport.endpoints: expected an array, got an object"),
+    (RunState, {**RECORDS["state"].to_dict(), "baseline": {**METRICS.to_dict(), "wns": "x"}},
+     TypeError, "RunState.baseline: PpaMetrics.wns: expected a number, got a string"),
+], ids=["bool-for-int", "float-for-int", "integral-float-for-int", "nan", "inf", "minus-inf",
+        "int-beyond-floats", "string-for-float", "string-for-tuple", "int-in-tuple",
+        "array-for-dict", "int-for-str", "lone-surrogate", "int-for-bool", "object-for-tuple",
+        "nested-path"])
+def test_a_value_of_another_type_is_an_error_naming_its_path(cls, d, error, message):
+    with pytest.raises(error) as exc:
+        cls.from_dict(d)
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+@pytest.mark.parametrize("cls, d, name", [
+    (BackendConfig, {"clock_period": 1}, "clock_period"),
+    (ScoreWeights, {"alpha": 0}, "alpha"),
+    (Stage, {"node": "u1", "op": "add", "delay_ns": 0, "loc": {"file": "d.rtl", "line": 3}},
+     "delay_ns"),
+], ids=["clock_period", "weight", "stage-delay"])
+def test_an_integer_for_a_float_is_kept_as_given(cls, d, name):
+    """A stored config keeps its bytes: ``1`` is not rewritten as ``1.0``."""
+    record = cls.from_dict(d)
+    assert type(getattr(record, name)) is int
+    assert canonical_json(record.to_dict()[name]) == str(d[name])
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_canonical_json_refuses_non_finite_numbers(value):
+    with pytest.raises(ValueError):
+        canonical_json({"wns": value})

@@ -3,6 +3,7 @@
 import pytest
 
 from rtlopt.backend import EvalResult, PpaMetrics
+from rtlopt.records import ConfigError
 from rtlopt.scoring import CandidateScore
 from rtlopt.skills import (
     Skill,
@@ -220,13 +221,15 @@ _ENTRY = '{"pattern":"wide-arithmetic","strategy":"tree-rebalance"'
     ('{"version":3,"entries":[],"bogus":1}', "bogus"),
     ('{"version":3,"entries":[' + _ENTRY + ',"tier":"high"}]}', "tier"),
     ('{"version":3,"entries":[' + _ENTRY + ',"template":""}]}', "template"),
-    ('{"version":3,"distilled_iterations":[["r",0]],"entries":[]}', "list of strings"),
-    ('{"version":3,"distilled_iterations":"ab","entries":[]}', "list of strings"),
+    ('{"version":3,"distilled_iterations":[["r",0]],"entries":[]}',
+     "distilled_iterations: expected a string, got an array"),
+    ('{"version":3,"distilled_iterations":"ab","entries":[]}',
+     "distilled_iterations: expected an array, got a string"),
 ], ids=["version-99", "version-1", "version-2", "unknown-key", "entry-tier",
         "entry-template", "run-iteration-key", "keys-not-a-list"])
 def test_import_rejects_bad_schema(tmp_path, text, problem):
     path = str(tmp_path / "bad.json")
     with open(path, "w") as fh:
         fh.write(text)
-    with pytest.raises(SkillError, match=problem):
+    with pytest.raises(ConfigError, match=problem):
         import_library(path)
