@@ -140,14 +140,21 @@ class EvalResult(Record):
 class ExternalConfig(Settings):
     synth_command_template: str
     sec_command_template: str = ""
-    metric_patterns: dict = field(default_factory=dict)  # name -> regex with one group
+    metric_patterns: dict = field(default_factory=dict)  # wns/tns/area -> regex, a group
     report_files: tuple[str, ...] = ()
     timeout_s: float = EXTERNAL_TIMEOUT_S
 
     def __post_init__(self):
+        if self.timeout_s <= 0:
+            raise ValueError("external.timeout_s must be > 0")
+        unknown = self.metric_patterns.keys() - set(METRIC_KEYS)
+        if unknown:
+            raise TypeError(f"external.metric_patterns: unknown keys {sorted(unknown)}")
         for key in METRIC_KEYS:
             if key not in self.metric_patterns:
                 raise ValueError(f"external.metric_patterns has no pattern for {key!r}")
+            if not isinstance(self.metric_patterns[key], str):
+                raise TypeError(f"external.metric_patterns[{key!r}] must be a string")
             try:
                 groups = re.compile(self.metric_patterns[key]).groups
             except re.error as exc:

@@ -3,6 +3,8 @@
 A config file is one ``RunConfig`` record, the object a run stores under
 ``config`` in its state.json, so that object reproduces the run. Every
 default matches the built-in evaluation setup, so ``{}`` is a valid run.
+``show`` and ``report`` read a run through ``trajectory.load_state``: a
+finished run's state.json, or the journal a stopped run left.
 
 Exit codes: 0 success, 1 usage or configuration error (an input that cannot
 be read or is not valid, or a file that cannot be written), 2 baseline
@@ -27,7 +29,7 @@ from .dsl import RtlError, parse
 from .llm import LlmClient
 from .orchestrator import BaselineEvaluationError, RunConfig, run
 from .records import ConfigError, read_record
-from .trajectory import CANDIDATE_OK, RunState, canonical_json, running_best
+from .trajectory import CANDIDATE_OK, RunState, canonical_json, load_state, running_best
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -51,10 +53,6 @@ def _load_design(path: str):
         raise ConfigError(str(exc)) from exc
 
 
-def _load_state(run_dir: str) -> RunState:
-    return read_record(os.path.join(run_dir, "state.json"), RunState, "run state")
-
-
 def _fmt_delta(value: float, pct: float) -> str:
     return f"{value:g} ({pct:.1f}%)"
 
@@ -70,7 +68,7 @@ def cmd_optimize(args) -> None:
                   if config.proposer.llm else None)
     result = run(design, config, args.out, library=library, llm_client=llm_client)
 
-    state = _load_state(result.run_dir)
+    state = load_state(result.run_dir)
     baseline = state.baseline
     # A rate over no evaluated candidate is not 0; result.json still says 0.0.
     pass_rate = (f"{result.sec_pass_rate:.2f}" if running_best(state)[-1].evaluated
@@ -100,7 +98,7 @@ def cmd_eval(args) -> None:
 
 
 def cmd_show(args) -> None:
-    state = _load_state(args.run)
+    state = load_state(args.run)
     iterations = state.iterations
     if args.iteration is not None:
         if not 0 <= args.iteration < len(iterations):
@@ -169,7 +167,7 @@ def report_rows(state: RunState) -> list[dict]:
 
 
 def cmd_report(args) -> None:
-    rows = report_rows(_load_state(args.run))
+    rows = report_rows(load_state(args.run))
     if args.format == "json":
         print(canonical_json(rows))
     else:
@@ -183,7 +181,7 @@ class _Parser(argparse.ArgumentParser):
     baseline here); subcommand parsers are built from this class too."""
 
     def error(self, message):
-        print(f"error: {self.prog}: {message}", file=sys.stderr)
+        print(f"error: {self.prog}: {' '.join(message.split())}", file=sys.stderr)
         sys.exit(EXIT_CONFIG)
 
 
@@ -207,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("show", help="render the trajectory of a finished run")
+    p = sub.add_parser("show", help="render the trajectory of a finished or stopped run")
     p.add_argument("--run", required=True)
     p.add_argument("--iteration", type=int, default=None)
     p.set_defaults(func=cmd_show)

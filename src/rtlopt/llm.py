@@ -3,8 +3,9 @@
 The output contract is strict: exactly one fenced code block containing a
 complete module with the parent's port interface. Anything else is retried
 up to the configured limit and then dropped, letting the proposer fall
-back to a rule-based slot; a failed LLM never aborts a run. Transcripts
-are persisted so stub-based contract tests can replay them.
+back to a rule-based slot; a failed LLM never aborts a run. Every attempt
+is appended to one transcript log, one JSON line each, so stub-based
+contract tests can replay them.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .skills import SkillLibrary, match
 from .timing import BottleneckDiagnosis
 
 _FENCE_RE = re.compile(r"```[a-zA-Z]*\n(.*?)```", re.DOTALL)
+
+TRANSCRIPT_LOG = "transcripts.jsonl"
 
 SYSTEM_DIRECTIVE = (
     "You optimize the timing of small RTL modules. Reply with exactly one "
@@ -55,7 +58,6 @@ class LlmClient:
         self.settings = settings
         self.transcript_dir = transcript_dir
         self.transcripts: list[Transcript] = []
-        self._counter = 0
         # One opener per client: it reads the proxy addresses from the
         # environment now, where urlopen's process-wide opener keeps those
         # of the first request in the process.
@@ -87,15 +89,19 @@ class LlmClient:
         ]
 
     def _record(self, transcript: Transcript):
+        """Keep the attempt and append it to ``transcript_dir``'s log, which
+        the client's first record creates afresh."""
         self.transcripts.append(transcript)
         if self.transcript_dir:
-            os.makedirs(self.transcript_dir, exist_ok=True)
-            path = os.path.join(self.transcript_dir, f"call_{self._counter:04d}.json")
-            self._counter += 1
-            with open(path, "w") as fh:
-                json.dump({"request": transcript.request,
-                           "response": transcript.response_text,
-                           "outcome": transcript.outcome}, fh, indent=2)
+            first = len(self.transcripts) == 1
+            if first:
+                os.makedirs(self.transcript_dir, exist_ok=True)
+            with open(os.path.join(self.transcript_dir, TRANSCRIPT_LOG),
+                      "w" if first else "a") as fh:
+                fh.write(json.dumps({"request": transcript.request,
+                                     "response": transcript.response_text,
+                                     "outcome": transcript.outcome},
+                                    sort_keys=True, separators=(",", ":")) + "\n")
 
     def _extract_module(self, text: str, parent: RtlDesign) -> RtlDesign:
         blocks = _FENCE_RE.findall(text)

@@ -13,24 +13,28 @@ round-trip floats) so identical runs produce byte-identical files; design
 snapshots are stored content-addressed next to it.
 
 The store has one writer: the loop's own thread records every iteration
-after the group's evaluation has returned, so it holds no lock. ``state.json``
-is written when the run starts, when each iteration is finalized and when
-the run ends; beginning an iteration and recording its candidates only
-change the in-memory state. A finalized iteration cannot change again, so
-its canonical JSON is encoded once, when it is finalized, and every later
-write joins the kept pieces: encoding a run is linear in its length, not
-quadratic.
+after the group's evaluation has returned, so it holds no lock. A run that
+is going keeps a write-ahead journal, ``journal.jsonl``: its first line is
+the run head (the state without iterations), written when the run starts,
+and each finalized iteration appends its canonical JSON as one more line,
+fsynced before the next iteration begins. When the run ends, ``state.json``
+is written once and the journal is deleted. Beginning an iteration and
+recording its candidates only change the in-memory state. A finalized
+iteration cannot change again, so its canonical JSON is encoded once, when
+it is finalized: that piece is its journal line, and ``state.json`` joins
+the kept pieces. ``load_state`` reads a run either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field, replace
 
 from .backend import EvalResult, PpaMetrics
-from .records import Record
+from .records import ConfigError, Record, read_record
 from .scoring import CandidateScore
 from .timing import BottleneckDiagnosis
 
@@ -42,6 +46,9 @@ CANDIDATE_SKIPPED = "skipped"
 CANDIDATE_EVAL_ERROR = "eval-error"
 
 DEFAULT_CONVERGENCE_EPSILON = 1e-3
+
+STATE_FILE = "state.json"
+JOURNAL_FILE = "journal.jsonl"
 
 
 class TrajectoryError(Exception):
@@ -100,25 +107,33 @@ class RunState(Record):
 
 
 class TrajectoryStore:
-    """Durable run state under one directory: state.json + designs/<hash>.rtl.
+    """Durable run state under one directory: journal.jsonl while the run is
+    going, state.json once it has ended, and designs/<hash>.rtl.
 
-    Single-threaded: only the loop's thread calls it. ``persist`` and
-    ``finalize_iteration`` write ``state.json`` atomically (write temp,
-    fsync, rename); the other mutations wait for the next of those, so a
-    crash mid-iteration leaves the last finalized state on disk.
+    Single-threaded: only the loop's thread calls it. ``persist`` starts the
+    journal with the run head while the run is going, and writes
+    ``state.json`` atomically (write temp, fsync, rename) and deletes the
+    journal once it has ended. ``finalize_iteration`` appends the iteration
+    to the journal and fsyncs it; the other mutations stay in memory, so a
+    crash mid-iteration leaves the head and every finalized iteration on disk.
     """
 
     def __init__(self, root: str, state: RunState):
         self.root = root
         self.state = state
         self._encoded: dict[int, str] = {}  # iteration index -> its canonical JSON
+        self._journaling = False            # the journal holds the head and _encoded
         os.makedirs(os.path.join(root, "designs"), exist_ok=True)
 
     # --- persistence ------------------------------------------------------
 
     @property
     def state_path(self) -> str:
-        return os.path.join(self.root, "state.json")
+        return os.path.join(self.root, STATE_FILE)
+
+    @property
+    def journal_path(self) -> str:
+        return os.path.join(self.root, JOURNAL_FILE)
 
     def _payload(self) -> str:
         """``canonical_json(self.state.to_dict())``, with each finalized
@@ -132,18 +147,30 @@ class TrajectoryStore:
             + (f"[{iterations}]" if key == "iterations" else canonical_json(value))
             for key, value in sorted(head.items())) + "}"
 
-    # Every write goes through this one name: perfbench counts writes on it.
+    # Every state.json write goes through this one name: perfbench counts writes on it.
     def _persist_locked(self):
-        payload = self._payload()
-        tmp = self.state_path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self.state_path)
+        _write_durably(self.state_path, self._payload())
+
+    def _start_journal(self):
+        head = canonical_json(replace(self.state, iterations=[]).to_dict())
+        _write_durably(self.journal_path,
+                       "".join(f"{line}\n" for line in (head, *self._encoded.values())))
+        self._journaling = True
 
     def persist(self):
-        self._persist_locked()
+        """While the run is going, start its journal afresh: the head, then
+        every finalized iteration. Once it has ended, write state.json and
+        delete the journal, so a finished run leaves no journal."""
+        if self.state.status == STATUS_RUNNING:
+            # A state.json here is an earlier run's, which this one replaces.
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self.state_path)
+            self._start_journal()
+        else:
+            self._persist_locked()
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(self.journal_path)
+            self._journaling = False
 
     def save_design(self, source: str) -> str:
         ref = design_hash(source)
@@ -206,8 +233,58 @@ class TrajectoryStore:
         iteration.selected = selected
         iteration.finalized = True
         encoded = self._encoded[iteration.index] = canonical_json(iteration.to_dict())
-        self._persist_locked()
+        if self._journaling:
+            with open(self.journal_path, "a") as fh:
+                fh.write(encoded + "\n")
+                fh.flush()
+                os.fsync(fh.fileno())
+        else:
+            self._start_journal()
         return design_hash(encoded)
+
+
+def _write_durably(path: str, text: str):
+    """Replace the file at ``path`` by ``text`` atomically: a temporary file
+    is written and fsynced, then renamed over it."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        fh.write(text)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
+def load_state(run_dir: str) -> RunState:
+    """The state of the run in ``run_dir``: its state.json once the run has
+    ended, else the head and finalized iterations its journal holds. A last
+    journal line with no newline is an append cut short and is dropped; any
+    other line that does not decode, or a state.json that does not, raises
+    ConfigError."""
+    state_path = os.path.join(run_dir, STATE_FILE)
+    journal = os.path.join(run_dir, JOURNAL_FILE)
+    if os.path.exists(state_path) or not os.path.exists(journal):
+        return read_record(state_path, RunState, "run state")
+    try:
+        with open(journal, "rb") as fh:
+            *lines, _torn = fh.read().split(b"\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot read journal {journal}: {exc}") from exc
+
+    def decode(number: int, cls):
+        try:
+            return cls.from_dict(json.loads(lines[number - 1]))
+        # ValueError: not JSON or not UTF-8; RecursionError: nested too deeply.
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise ConfigError(f"invalid journal {journal} line {number}: {exc}") from None
+
+    if not lines:
+        raise ConfigError(f"invalid journal {journal}: no run head")
+    state = decode(1, RunState)
+    if state.iterations:
+        raise ConfigError(f"invalid journal {journal} line 1: "
+                          "the run head holds iterations")
+    state.iterations = [decode(n, IterationRecord) for n in range(2, len(lines) + 1)]
+    return state
 
 
 @dataclass(frozen=True)

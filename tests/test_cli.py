@@ -1,15 +1,19 @@
 """CLI surface: subcommands, config handling, exit codes, report output."""
 
+import argparse
 import csv
 import io
 import json
 import os
 import re
+import shutil
+import tempfile
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
+import rtlopt.backend
 from corpus import CHAIN_ADDER_8
 from rtlopt import cli
 from rtlopt import skills as sk
@@ -316,10 +320,33 @@ def test_llm_misconfiguration_exit_1_at_load(design_file, tmp_path, capsys, comm
     {"backend": {"external": {
         "synth_command_template": "true", "metric_patterns": {"wns": "wns (\\S+)"}}}},
     _external(synth_command_template="synth {nope}"),
-], ids=["missing-pattern", "unknown-placeholder"])
+    _external(synth_command_template="true", timeout_s=0),
+    _external(synth_command_template="true", timeout_s=-5),
+    _external(synth_command_template="true", metric_patterns={**PATTERNS, "wns": 5}),
+], ids=["missing-pattern", "unknown-placeholder", "zero-timeout", "negative-timeout",
+        "pattern-not-a-string"])
 def test_external_misconfiguration_exit_1_at_load(design_file, tmp_path, capsys,
                                                   command, payload):
     _assert_rejected_at_load(command, design_file, tmp_path, capsys, payload)
+
+
+@pytest.mark.parametrize("patterns, unknown", [
+    ({**PATTERNS, "power": 5}, "['power']"),
+    ({"wns": PATTERNS["wns"], "tns": PATTERNS["tns"], "aera": PATTERNS["area"]},
+     "['aera']"),
+], ids=["extra", "misspelt"])
+def test_external_metric_pattern_keys_are_exactly_wns_tns_area(design_file, tmp_path,
+                                                               capsys, patterns, unknown):
+    """An extra or misspelt metric key is an unknown key, as anywhere in a
+    config: exit 1 before any run, and nothing stored."""
+    config = _write(tmp_path, "ext.json", _external(synth_command_template="true",
+                                                    metric_patterns=patterns))
+    assert main(["optimize", "--design", design_file, "--config", config,
+                 "--out", str(tmp_path / "runs")]) == 1
+    assert capsys.readouterr().err == (
+        "error: invalid config: RunConfig.backend: BackendConfig.external: "
+        f"external.metric_patterns: unknown keys {unknown}\n")
+    assert not (tmp_path / "runs").exists()
 
 
 def test_eval_synthesis_timeout_exit_2(design_file, tmp_path, capsys):
@@ -511,6 +538,81 @@ def test_unreadable_state_is_one_line_error(design_file, tmp_path, capsys, comma
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def _stopped_run(design_file, out, monkeypatch, finalized):
+    """An optimize run interrupted in the evaluation after its first
+    ``finalized`` iterations were finalized, as Ctrl-C would stop it."""
+    run_dir = os.path.join(out, "chain-seed0")
+    evaluate = rtlopt.backend.evaluate
+
+    def interrupted(*args):
+        with open(os.path.join(run_dir, "journal.jsonl")) as fh:
+            if len(fh.readlines()) > finalized:  # the head and `finalized` iterations
+                raise KeyboardInterrupt
+        return evaluate(*args)
+
+    monkeypatch.setattr(rtlopt.backend, "evaluate", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["optimize", "--design", design_file, "--out", out])
+    monkeypatch.setattr(rtlopt.backend, "evaluate", evaluate)
+    return run_dir
+
+
+def _output(capsys, argv):
+    capsys.readouterr()
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_stopped_run_is_read_from_its_journal(design_file, tmp_path, capsys, monkeypatch):
+    """A run stopped after two finalized iterations leaves its journal and no
+    state.json; show and report read those two iterations, as a finished run
+    of the same design has them, under the status the journal holds."""
+    finished = _output(capsys, ["report", "--run", _finished_run(design_file, tmp_path)])
+    run_dir = _stopped_run(design_file, str(tmp_path / "stopped"), monkeypatch, 2)
+    assert sorted(os.listdir(run_dir)) == ["designs", "journal.jsonl"]
+    expected = SHOW_FIRST_ITERATIONS.replace("budget-exhausted", "running")
+    assert _output(capsys, ["show", "--run", run_dir]) == (
+        expected[:expected.index("iteration 2:")])
+    report = _output(capsys, ["report", "--run", run_dir])
+    assert report.splitlines() == finished.splitlines()[:3]  # header and two rows
+
+
+def test_torn_last_journal_line_reads_as_one_fewer_iteration(design_file, tmp_path, capsys,
+                                                             monkeypatch):
+    """An append cut short leaves a last line with no newline, which is dropped."""
+    run_dir = _stopped_run(design_file, str(tmp_path / "runs"), monkeypatch, 2)
+    journal = os.path.join(run_dir, "journal.jsonl")
+    with open(journal, "rb") as fh:
+        data = fh.read()
+    with open(journal, "wb") as fh:
+        fh.write(data[:-10])
+    assert len(_output(capsys, ["report", "--run", run_dir]).splitlines()) == 1 + 1
+    shown = _output(capsys, ["show", "--run", run_dir])
+    assert "iteration 0:" in shown and "iteration 1:" not in shown
+
+
+@pytest.mark.parametrize("number, line", [
+    (2, b"garbage"), (2, b'{"index": 0}'), (1, b"garbage"), (1, b"[]"), (None, b""),
+], ids=["garbage-middle", "middle-not-an-iteration", "garbage-head", "head-not-a-run",
+        "empty"])
+@pytest.mark.parametrize("command", ["show", "report"])
+def test_bad_journal_line_is_one_line_error(design_file, tmp_path, capsys, monkeypatch,
+                                            command, number, line):
+    run_dir = _stopped_run(design_file, str(tmp_path / "runs"), monkeypatch, 2)
+    journal = os.path.join(run_dir, "journal.jsonl")
+    with open(journal, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    if number is None:
+        lines = [line]
+    else:
+        lines[number - 1] = line
+    with open(journal, "wb") as fh:
+        fh.write(b"\n".join(lines))
+    capsys.readouterr()
+    assert main([command, "--run", run_dir]) == 1
+    _assert_one_error_line(capsys)
+
+
 def test_report_csv_columns(design_file, tmp_path, capsys):
     run_dir = _finished_run(design_file, tmp_path)
     capsys.readouterr()
@@ -655,6 +757,113 @@ def test_malformed_skill_library_is_one_line_error(design_file, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "runs").exists()
+
+
+# Paths in the fuzzer's working directory (see _fuzz_places); none leads out
+# of it. Half the time a path value is one that works for its argument, by
+# the argument's name.
+_PLACES = ["chain.rtl", "nope.rtl", "c.json", "bad.json", "done", "done/skills.json",
+           "stopped", "absent"]
+_WORKING = {"design": ["chain.rtl"], "golden": ["chain.rtl"], "config": ["c.json"],
+            "skills": ["done/skills.json"], "library": ["done/skills.json"],
+            "extra": ["done/skills.json"], "run": ["done", "stopped"], "out": ["runs"],
+            "output": ["out.json"]}
+_WORDS = st.text(alphabet="ab-_ \n\té1", max_size=4)
+
+
+def _grammar() -> dict[str, tuple[dict, list]]:
+    """Per subcommand, from the parser itself: each option string but help
+    (which would end every case) and each positional, with the values its
+    declaration fits: its choices, an integer for an ``int``, else a place."""
+
+    def fits(action):
+        if action.choices:
+            return st.sampled_from(sorted(action.choices))
+        if action.type is int:
+            return st.sampled_from(["0", "1", "-1", "99", "1.5"])
+        return st.sampled_from(_WORKING.get(action.dest, _PLACES)) | st.sampled_from(_PLACES)
+
+    (sub,) = [a for a in cli.build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return {name: ({o: fits(a) for a in p._actions for o in a.option_strings
+                    if not isinstance(a, argparse._HelpAction)},
+                   [fits(a) for a in p._actions if not a.option_strings])
+            for name, p in sub.choices.items()}
+
+
+_GRAMMAR = _grammar()
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand, then in any order some of its options and positionals.
+    One value in eight is any short word instead of one that fits, and one
+    option in eight goes without its value."""
+    command = draw(st.sampled_from([*_GRAMMAR, "bogus"]))
+    options, positionals = _GRAMMAR.get(command, ({}, []))
+
+    def value(fitting):
+        return draw(_WORDS if draw(st.integers(0, 7)) == 0 else fitting)
+
+    chosen = draw(st.lists(st.sampled_from(sorted(options)), unique=True)) if options else []
+    pieces = [[option] + ([value(options[option])] if draw(st.integers(0, 7)) else [])
+              for option in chosen]
+    pieces += [[value(fitting)] for fitting in positionals
+               for _ in range(draw(st.integers(0, 2)))]
+    return [command] + [token for piece in draw(st.permutations(pieces)) for token in piece]
+
+
+@pytest.fixture(scope="module")
+def _fuzz_places(tmp_path_factory):
+    """A template of the fuzzer's working directory: designs and configs that
+    read and that do not, a finished run and a stopped one."""
+    root = tmp_path_factory.mktemp("places")
+    (root / "chain.rtl").write_text(CHAIN_ADDER_8)
+    (root / "nope.rtl").write_text("module nope(")
+    (root / "c.json").write_text(json.dumps({"iterations": 1}))
+    (root / "bad.json").write_text(json.dumps({"iterations": 0}))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(root)
+        assert main(["optimize", "--design", "chain.rtl", "--config", "c.json",
+                     "--out", "runs"]) == 0
+        os.rename(os.path.join("runs", "chain-seed0"), "done")
+        os.rename(_stopped_run("chain.rtl", "runs", patch, 1), "stopped")
+        os.rmdir("runs")
+    return root
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv())
+# These are sure to reach each command's work.
+@example(argv=["optimize", "--design", "chain.rtl", "--config", "c.json", "--seed", "-1"])
+@example(argv=["eval", "--golden", "chain.rtl", "--design", "chain.rtl"])
+@example(argv=["show", "--run", "stopped", "--iteration", "0"])
+@example(argv=["report", "--format", "json", "--run", "done"])
+@example(argv=["skills", "merge", "done/skills.json", "--library", "done/skills.json",
+               "--output", "m.json"])
+def test_any_argv_exits_0_1_or_2(_fuzz_places, capsys, argv):
+    """An argv built from the parser's own subcommands, options and choices,
+    with values naming files that work and files that do not, exits 0, 1 or
+    2, never 3; an error is one stderr line. Each case runs in a fresh copy
+    of the working directory, so what one writes no other sees."""
+    previous = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        shutil.copytree(_fuzz_places, work, dirs_exist_ok=True)
+        os.chdir(work)
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # a usage error leaves through argparse
+            code = exc.code
+        finally:
+            os.chdir(previous)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, err)
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "", (argv, err)
 
 
 @pytest.mark.parametrize("argv", [

@@ -114,8 +114,28 @@ def test_valid_response_becomes_proposal(stub_server, tmp_path):
     path, headers, body = _StubHandler.received[0]
     assert path.endswith("/chat/completions")
     assert body["model"] == "stub-model"
-    saved = os.listdir(str(tmp_path / "transcripts"))
-    assert saved == ["call_0000.json"]
+    assert os.listdir(str(tmp_path / "transcripts")) == ["transcripts.jsonl"]
+    line = (tmp_path / "transcripts" / "transcripts.jsonl").read_text()
+    record = json.loads(line)
+    assert record["outcome"] == "accepted" and record["request"] == body
+    # One compact line with sorted keys.
+    assert line == json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_transcript_log_has_one_line_per_attempt(stub_server, tmp_path):
+    """Every attempt, failed ones too, appends one line to one log, which the
+    client's first record creates afresh."""
+    log = tmp_path / "transcripts.jsonl"
+    log.write_text("an earlier client's log\n")
+    _StubHandler.script = [_chat_body("prose"), _chat_body(f"```\n{BAD_PORTS}```"),
+                           _chat_body(f"```\n{REBALANCED}```")]
+    client = _client(stub_server, transcript_dir=str(tmp_path), max_retries=2)
+    assert client.propose(parse(CHAIN_ADDER_8), None, SkillLibrary()) is not None
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["outcome"] for r in records] == [t.outcome for t in client.transcripts]
+    assert len(records) == 3 and records[-1]["outcome"] == "accepted"
+    assert records[0]["response"] == "prose"
+    assert os.listdir(str(tmp_path)) == ["transcripts.jsonl"]
 
 
 def test_accepted_reply_is_stored_as_canonical_text(stub_server):
@@ -294,8 +314,11 @@ def test_optimize_against_truncating_endpoint_fills_slots_from_rules(stub_server
         iterations = RunState.from_dict(json.load(fh)).iterations
     kinds = [c.proposer_kind for it in iterations for c in it.candidates]
     assert "rule" in kinds and "llm" not in kinds
-    outcomes = [json.loads(path.read_text())["outcome"]
-                for path in sorted((out / "llm").iterdir())]
+    assert os.listdir(str(out / "llm")) == ["transcripts.jsonl"]
+    outcomes = [json.loads(line)["outcome"]
+                for line in (out / "llm" / "transcripts.jsonl").read_text().splitlines()]
+    # One line per attempt: with no retries, one per request.
+    assert len(outcomes) == len(_StubHandler.received)
     assert outcomes and all(o.startswith("attempt 0: ") for o in outcomes)
 
 

@@ -37,12 +37,12 @@ def test_install_then_remove_restores_every_patched_name():
 
 
 def test_traced_run_records_trajectory_layers(tmp_path, monkeypatch):
-    """Every trajectory method has spans, parsing and printing have spans
-    (rewrites still print and parse each candidate, and the loop parses each
-    promoted one), and SEC splits into one golden simulation per stimulus
-    chunk the run reached, candidate simulations and one check per evaluated
-    candidate. The registered chain is never proved by normal form, so each
-    check simulates."""
+    """Every trajectory method has spans, state.json is written once, parsing
+    and printing have spans (rewrites still print and parse each candidate,
+    and the loop parses each promoted one), and SEC splits into one golden
+    simulation per stimulus chunk the run reached, candidate simulations and
+    one check per evaluated candidate. The registered chain is never proved
+    by normal form, so each check simulates."""
     design = parse(CHAIN_ADDER_8_REG, "chain.rtl")
     contexts = []
 
@@ -58,7 +58,10 @@ def test_traced_run_records_trajectory_layers(tmp_path, monkeypatch):
         result = run(design, RunConfig(iterations=1), str(tmp_path))
     finally:
         tracer.remove()
-    assert tracer.counts[0, "trajectory.writes"] == 3
+    # Iterations go to the journal; state.json is written once, at run end.
+    assert tracer.counts[0, "trajectory.writes"] == 1
+    assert tracer.counts[0, "trajectory.bytes"] == os.path.getsize(
+        os.path.join(result.run_dir, "state.json"))
     layers = tracer.layer_totals(0)
     for method in ("begin_iteration", "record_candidate", "finalize_iteration",
                    "persist", "save_design"):

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from rtlopt.timing import (
     TimingPath,
 )
 from rtlopt.trajectory import (
+    STATUS_BUDGET,
     CandidateRecord,
     IterationRecord,
     RunState,
@@ -25,6 +27,7 @@ from rtlopt.trajectory import (
     canonical_json,
     convergence_steps,
     design_hash,
+    load_state,
     running_best,
 )
 
@@ -87,13 +90,21 @@ def test_store_lifecycle_and_reload(tmp_path):
     store.record_candidate(it, cand)
     store.record_candidate(it, _cand("t0c1", -0.1))
     key = store.finalize_iteration(it, group_advantage([-0.4, -0.1]), "t0c0")
-    # An iteration's key is the digest of its canonical JSON.
+    # An iteration's key is the digest of its canonical JSON, its journal line.
     assert key == design_hash(canonical_json(it.to_dict()))
+    with open(store.journal_path) as fh:
+        assert fh.read() == (canonical_json(replace(state, iterations=[]).to_dict()) + "\n"
+                             + canonical_json(it.to_dict()) + "\n")
+    assert not os.path.exists(store.state_path)
+    assert load_state(store.root).to_dict() == store.state.to_dict()
 
+    state.status = STATUS_BUDGET
+    store.persist()
+    assert sorted(os.listdir(store.root)) == ["designs", "state.json"]  # no journal
     with open(store.state_path) as fh:
         on_disk = fh.read()
     reloaded = RunState.from_dict(json.loads(on_disk))
-    assert reloaded.to_dict() == store.state.to_dict()
+    assert reloaded.to_dict() == load_state(store.root).to_dict() == store.state.to_dict()
     # byte-identical re-serialization
     assert on_disk == canonical_json(store.state.to_dict())
 
@@ -122,6 +133,7 @@ def test_advantages_must_match_the_passers(tmp_path, advantages):
         store.finalize_iteration(it, advantages, "c0")
     assert not it.finalized and it.candidates[0].advantage is None
     assert not os.path.exists(store.state_path)
+    assert not os.path.exists(store.journal_path)
 
 
 def test_store_validation_errors(tmp_path):
@@ -156,22 +168,27 @@ def test_iteration_is_finalized_once(tmp_path):
     with pytest.raises(TrajectoryError, match="already finalized"):
         store.finalize_iteration(it, (0.0,), None)
     assert it.selected == "c0"
-    open_it = store.begin_iteration("p", 1, [DIAGNOSIS])  # not finalized: encoded per write
+    open_it = store.begin_iteration("p", 1, [DIAGNOSIS])  # not finalized: not journaled
     store.persist()
-    with open(store.state_path) as fh:
-        assert fh.read() == canonical_json(store.state.to_dict())
+    assert [i.index for i in load_state(store.root).iterations] == [0]
     store.record_candidate(open_it, _cand("c0", -0.1))
+    # A run that ends mid-iteration stores it in state.json, encoded per write.
+    store.state.status = STATUS_BUDGET
     store.persist()
     with open(store.state_path) as fh:
         assert fh.read() == canonical_json(store.state.to_dict())
+    assert load_state(store.root).to_dict() == store.state.to_dict()
 
 
-def test_run_writes_state_once_per_finalized_iteration(tmp_path, monkeypatch):
-    """Every write, the run-end one too, is the whole state's canonical JSON,
-    though finalized iterations are encoded only once."""
+def test_run_journals_each_finalized_iteration_then_writes_state_once(tmp_path,
+                                                                      monkeypatch):
+    """Each finalized iteration is on disk, as its journal line, when
+    ``finalize_iteration`` returns; state.json is written once, at run end,
+    as the whole state's canonical JSON, and the journal goes."""
     iterations = 3
-    writes = []  # (iterations recorded, status) at each state.json write
-    persist = TrajectoryStore._persist_locked
+    writes = []     # (iterations recorded, status) at each state.json write
+    journaled = []  # iterations load_state reads after each finalize_iteration
+    persist, finalize = TrajectoryStore._persist_locked, TrajectoryStore.finalize_iteration
 
     def counted(store):
         persist(store)
@@ -179,12 +196,43 @@ def test_run_writes_state_once_per_finalized_iteration(tmp_path, monkeypatch):
         with open(store.state_path) as fh:
             assert fh.read() == canonical_json(store.state.to_dict())
 
+    def durable(store, iteration, *args):
+        key = finalize(store, iteration, *args)
+        assert not os.path.exists(store.state_path)
+        with open(store.journal_path) as fh:
+            assert design_hash(fh.read().splitlines()[-1]) == key
+        on_disk = load_state(store.root)
+        assert on_disk.to_dict() == replace(
+            store.state, iterations=store.state.iterations[:iteration.index + 1]).to_dict()
+        journaled.append(len(on_disk.iterations))
+        return key
+
     monkeypatch.setattr(TrajectoryStore, "_persist_locked", counted)
-    run(parse(CHAIN_ADDER_8, "chain.rtl"), RunConfig(iterations=iterations),
-        str(tmp_path))
-    assert len(writes) == iterations + 2
-    assert writes == [(i, "running") for i in range(iterations + 1)] + [
-        (iterations, "budget-exhausted")]
+    monkeypatch.setattr(TrajectoryStore, "finalize_iteration", durable)
+    result = run(parse(CHAIN_ADDER_8, "chain.rtl"), RunConfig(iterations=iterations),
+                 str(tmp_path))
+    assert journaled == [1, 2, 3]
+    assert writes == [(iterations, "budget-exhausted")]
+    assert not os.path.exists(os.path.join(result.run_dir, "journal.jsonl"))
+
+
+def test_finished_run_fsyncs_each_write_once_and_leaves_no_journal(tmp_path, monkeypatch):
+    """A run of I iterations fsyncs I + 2 times: the journal head, one append
+    per finalized iteration and state.json. Its directory holds what it did
+    before the journal: no journal and no temporary file."""
+    fsyncs = []
+    fsync = os.fsync
+
+    def counted(fd):
+        fsyncs.append(fd)
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", counted)
+    result = run(parse(CHAIN_ADDER_8, "chain.rtl"), RunConfig(iterations=3),
+                 str(tmp_path))
+    assert len(fsyncs) == 1 + 3 + 1
+    assert sorted(os.listdir(result.run_dir)) == [
+        "designs", "result.json", "skills.json", "state.json"]
 
 
 def test_run_stores_each_fact_once(tmp_path):
