@@ -193,32 +193,31 @@ class BackendConfig(Settings):
 
 
 def _arrival(expr: Expr, locs: tuple[tuple[int, int], ...],
-             nets: dict[str, tuple[float, list[Stage]]],
-             filename: str) -> tuple[float, list[Stage]]:
-    """Longest arrival through a statement's expression, and its stages; ``locs``
-    are the statement's node locations, ``nets`` the results of earlier nets."""
+             nets: dict[str, tuple]) -> tuple[float, tuple | None, float]:
+    """Longest arrival through a statement's expression, its path and the
+    expression's area; ``locs`` are the statement's node locations, ``nets``
+    the arrivals and paths of earlier nets. A path is a cons cell ``((node,
+    line, col), rest)`` ending in None, its last node first and a startpoint's
+    ``var`` node, if any, last; a path shares its cells with the one it extends."""
     occurrences = iter(locs)
+    area = 0.0
 
-    def visit(node: Expr, args: list[tuple[float, list[Stage]]]):
+    def visit(node: Expr, args: list[tuple[float, tuple | None]]):
+        nonlocal area
         line, col = next(occurrences, (0, 0))
         if node.kind == "const":
-            return 0.0, []
-        if node.kind == "var":
-            if node.name in nets:
-                return nets[node.name]
-            # input port or register output: path starts here
-            return 0.0, [Stage(node=node.name, op="startpoint", delay_ns=0.0,
-                               file=filename, line=line, col=col)]
-        best = (0.0, [])
+            return 0.0, None
+        if node.kind == "var":  # a net, or an input port or register output
+            return nets.get(node.name) or (0.0, ((node, line, col), None))
+        best = (0.0, None)
         for cand in args:
-            if cand[0] > best[0] or (cand[0] == best[0] and not best[1]):
+            if cand[0] > best[0] or (cand[0] == best[0] and best[1] is None):
                 best = cand
-        delay = node_delay_ns(node.kind, _operand_width(node))
-        stage = Stage(node=f"{node.kind}_{line}_{col}", op=node.kind, delay_ns=delay,
-                      file=filename, line=line, col=col, width=_operand_width(node))
-        return best[0] + delay, best[1] + [stage]
+        width = _operand_width(node)
+        area += node_area(node.kind, width)
+        return best[0] + node_delay_ns(node.kind, width), ((node, line, col), best[1])
 
-    return expr.fold(visit)
+    return (*expr.fold(visit), area)
 
 
 def synthesize(design: RtlDesign, config: BackendConfig) -> tuple[PpaMetrics, TimingReport]:
@@ -228,14 +227,21 @@ def synthesize(design: RtlDesign, config: BackendConfig) -> tuple[PpaMetrics, Ti
 
 
 def _builtin_synthesize(design: RtlDesign, clock_ns: float) -> tuple[PpaMetrics, TimingReport]:
-    nets: dict[str, tuple[float, list[Stage]]] = {}
+    """Arrivals are computed forward in topological order; ``Stage`` records
+    are built only for the path each endpoint reports. Every area term is a
+    whole number, so summing it per statement is exact."""
+    area = float(sum(REGISTER_AREA_PER_BIT * r.width for r in design.registers))
+    nets: dict[str, tuple] = {}
     for assign in topo_order(design):
-        nets[assign.target] = _arrival(assign.expr, assign.locs, nets, design.filename)
-    paths = [_make_path(p.name, *nets.get(p.name, (0.0, [])), clock_ns)
+        arrival, path, expr_area = _arrival(assign.expr, assign.locs, nets)
+        nets[assign.target] = arrival, path
+        area += expr_area
+    paths = [_make_path(p.name, *nets.get(p.name, (0.0, None)), clock_ns, design.filename)
              for p in design.output_ports]
     for reg in design.registers:
-        arrival, stages = _arrival(reg.next, reg.locs, nets, design.filename)
-        paths.append(_make_path(reg.name, arrival, stages, clock_ns))
+        arrival, path, expr_area = _arrival(reg.next, reg.locs, nets)
+        area += expr_area
+        paths.append(_make_path(reg.name, arrival, path, clock_ns, design.filename))
 
     paths.sort(key=lambda p: (p.slack_ns, p.endpoint))
     report = TimingReport(clock_ns=clock_ns, endpoints=tuple(paths))
@@ -243,27 +249,23 @@ def _builtin_synthesize(design: RtlDesign, clock_ns: float) -> tuple[PpaMetrics,
     slacks = [p.slack_ns for p in paths]
     wns = min(slacks) if slacks else clock_ns - (CLK_TO_Q_NS + SETUP_NS)
     tns = sum(min(s, 0.0) for s in slacks)
-
-    area = float(sum(REGISTER_AREA_PER_BIT * r.width for r in design.registers))
-    for _, expr in design.all_exprs():
-        for node in expr.walk():
-            area += node_area(node.kind, _operand_width(node))
-
     return PpaMetrics(wns=wns, tns=tns, area=area), report
 
 
-def _make_path(endpoint: str, arrival: float, stages: list[Stage],
-               clock_ns: float) -> TimingPath:
-    delay = CLK_TO_Q_NS + arrival + SETUP_NS
-    slack = clock_ns - delay
-    if stages and stages[0].op == "startpoint":
-        startpoint = stages[0].node
-        op_stages = tuple(stages[1:])
-    else:
-        startpoint = endpoint
-        op_stages = tuple(stages)
+def _make_path(endpoint: str, arrival: float, path: tuple | None,
+               clock_ns: float, filename: str) -> TimingPath:
+    steps = []
+    while path is not None:
+        step, path = path
+        steps.append(step)
+    steps.reverse()
+    startpoint = steps.pop(0)[0].name if steps and steps[0][0].kind == "var" else endpoint
+    stages = tuple(Stage(node=f"{node.kind}_{line}_{col}", op=node.kind,
+                         delay_ns=node_delay_ns(node.kind, _operand_width(node)),
+                         file=filename, line=line, col=col, width=_operand_width(node))
+                   for node, line, col in steps)
     return TimingPath(startpoint=startpoint, endpoint=endpoint,
-                      slack_ns=slack, stages=op_stages)
+                      slack_ns=clock_ns - (CLK_TO_Q_NS + arrival + SETUP_NS), stages=stages)
 
 
 # --- sequential equivalence checking --------------------------------------

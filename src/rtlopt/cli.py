@@ -27,7 +27,7 @@ from . import backend as be
 from . import skills as sk
 from .dsl import RtlError, parse
 from .llm import LlmClient
-from .orchestrator import BaselineEvaluationError, RunConfig, run
+from .orchestrator import BaselineEvaluationError, RunConfig, run, run_dir_of
 from .records import ConfigError, read_record
 from .trajectory import CANDIDATE_OK, RunState, canonical_json, load_state, running_best
 
@@ -64,7 +64,7 @@ def cmd_optimize(args) -> None:
         config = replace(config, seed=args.seed)
     library = sk.import_library(args.skills) if args.skills else sk.SkillLibrary()
     llm_client = (LlmClient(config.proposer.llm,
-                            transcript_dir=os.path.join(args.out, "llm"))
+                            transcript_dir=run_dir_of(design, config, args.out))
                   if config.proposer.llm else None)
     result = run(design, config, args.out, library=library, llm_client=llm_client)
 

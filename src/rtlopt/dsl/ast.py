@@ -175,9 +175,11 @@ class RtlDesign:
     registers: tuple[Register, ...]
     assigns: tuple[Assign, ...]
     filename: str = "<memory>"
+    canonical: bool = field(default=False, compare=False)  # ``source`` is printer output
 
-    # Derived lookups, built once in __post_init__.
+    # Derived lookups, built once: widths in __post_init__, the order by topo_order.
     _widths: dict = field(default_factory=dict, repr=False, compare=False)
+    _order: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         widths = {}

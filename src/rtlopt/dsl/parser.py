@@ -454,9 +454,9 @@ def _elaborate(draft: tuple, source: str, filename: str) -> RtlDesign:
             raise RtlSemanticError(f"register {rname!r} has no driver", *decl_locs[rname])
 
     registers = tuple(reg_updates[rname] for rname, _, _ in regs)
-    design = RtlDesign(name, source, tuple(ports), tuple(nets), registers,
-                       tuple(assigns), filename=filename)
-    topo_order(design)  # raises on a combinational cycle
+    design = RtlDesign(name, str(source), tuple(ports), tuple(nets), registers,
+                       tuple(assigns), filename, canonical=type(source) is PrintedText)
+    topo_order(design)  # raises on a combinational cycle; kept for every later use
     return design
 
 
@@ -482,18 +482,21 @@ def parse(source: str, filename: str = "<memory>") -> RtlDesign:
     if design is None:
         draft = (source.draft if type(source) is PrintedText
                  else _Parser(_tokenize(source)).parse_module())
-        design = _elaborate(draft, str(source), filename)
+        design = _elaborate(draft, source, filename)
         _DESIGNS[design.source, filename] = design
     return design
 
 
-def topo_order(design: RtlDesign) -> list[Assign]:
-    """Assigns ordered so every net is computed before it is read.
+def topo_order(design: RtlDesign) -> tuple[Assign, ...]:
+    """Assigns ordered so every net is computed before it is read; computed
+    once per design, by elaboration for a parsed one, and kept on it.
 
     Register outputs and input ports are sources and never create edges.
     A depth-first walk with an explicit path: each assign follows the nets
     it reads, in the order its expression reads them.
     """
+    if design._order is not None:
+        return design._order
     by_target = {a.target: a for a in design.assigns}
     order: list[Assign] = []
     ordered: dict[str, bool] = {}  # False while a net is on the walk's path
@@ -524,4 +527,5 @@ def topo_order(design: RtlDesign) -> list[Assign]:
                 path.pop()
                 ordered[target] = True
                 order.append(by_target[target])
-    return order
+    object.__setattr__(design, "_order", tuple(order))
+    return design._order

@@ -72,7 +72,8 @@ class LlmClient:
 
     def _prompt(self, parent: RtlDesign, diagnosis: BottleneckDiagnosis | None,
                 library: SkillLibrary) -> list[dict]:
-        lines = [f"Module source:\n{print_design(parent)}"]
+        text = parent.source if parent.canonical else print_design(parent)
+        lines = [f"Module source:\n{text}"]
         if diagnosis is not None:
             lines.append(
                 f"Critical path: {diagnosis.path.startpoint} -> "

@@ -105,19 +105,23 @@ def evaluate_group(proposals: list[Proposal], sec: be.GoldenSec,
     return [one(p) for p in proposals]
 
 
+def run_dir_of(design: RtlDesign, config: RunConfig, out_dir: str) -> str:
+    """The directory under ``out_dir`` that ``run`` gives this run."""
+    return os.path.join(out_dir, f"{design.name}-seed{config.seed}")
+
+
 def run(design: RtlDesign, config: RunConfig, out_dir: str,
         library: SkillLibrary | None = None, llm_client=None) -> RunResult:
     if library is None:
         library = SkillLibrary()
-    run_id = f"{design.name}-seed{config.seed}"
-    run_dir = os.path.join(out_dir, run_id)
+    run_dir = run_dir_of(design, config, out_dir)
 
     try:
         baseline_metrics, baseline_report = be.synthesize(design, config.backend)
     except Exception as exc:
         raise BaselineEvaluationError(str(exc)) from exc
 
-    state = RunState(run_id=run_id, design_name=design.name,
+    state = RunState(run_id=os.path.basename(run_dir), design_name=design.name,
                      config=config.to_dict(), baseline=baseline_metrics)
     store = TrajectoryStore(run_dir, state)
     state.baseline_design_ref = store.save_design(design.source)

@@ -90,7 +90,7 @@ def propose_group(parent: RtlDesign, diagnoses: list[BottleneckDiagnosis],
     n = config.n_candidates
     skill_slots = math.ceil((1.0 - config.exploration_fraction) * n)
     proposals: list[Proposal] = []
-    seen_sources = {print_design(parent)}
+    seen_sources = {parent.source if parent.canonical else print_design(parent)}
     tried: set[tuple[str | None, str]] = set()  # (pattern, strategy)
 
     def emit(design: RtlDesign, provenance: str, strategy, diagnosis,

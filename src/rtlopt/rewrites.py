@@ -129,7 +129,14 @@ def _hoist(design: RtlDesign, sub: Expr, base: str) -> RtlDesign:
 
 
 def _flatten_chain(expr: Expr, op: str) -> list[Expr]:
-    return expr.fold(lambda node, parts: parts[0] + parts[1] if node.kind == op else [node])
+    operands, stack = [], [expr]  # visits the chain's nodes only, once each
+    while stack:
+        node = stack.pop()
+        if node.kind == op:
+            stack.extend(reversed(node.args))
+        else:
+            operands.append(node)
+    return operands
 
 
 def _balanced(items: list, leaf, join):
@@ -143,18 +150,22 @@ def _balanced(items: list, leaf, join):
 
 
 def tree_rebalance(design: RtlDesign, region=None) -> RtlDesign:
-    """Reassociate the first skewed chain of an associative op."""
+    """Reassociate the first skewed chain of an associative op, in the order
+    of ``Expr.walk``. Each chain is flattened once: when it is balanced, so
+    is every inner node of it, and the walk goes on into its operands."""
     for kind, index, root in _statements(design, region):
-        for node in root.walk():
+        stack = [root]
+        while stack:
+            node = stack.pop()
             if node.kind not in ASSOCIATIVE_OPS:
+                stack.extend(reversed(node.args))
                 continue
             operands = _flatten_chain(node, node.kind)
-            if len(operands) < 3:
-                continue
             balanced = _balanced(operands, lambda operand: operand,
                                  lambda _, left, right: Expr(node.kind, node.width, (left, right)))
             if balanced is not node:
                 return _replace_in(design, (kind, index), node, balanced)
+            stack.extend(reversed(operands))
     raise NotApplicable("no reassociable operator chain")
 
 

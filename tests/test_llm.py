@@ -8,7 +8,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from corpus import CHAIN_ADDER_8
+from corpus import CHAIN_ADDER_8, CHAIN_ADDER_8_VARIANT
 from rtlopt.dsl import parse, print_design
 from rtlopt.llm import LlmClient
 from rtlopt.proposer import LlmSettings, ProposerConfig, propose_group
@@ -314,12 +314,39 @@ def test_optimize_against_truncating_endpoint_fills_slots_from_rules(stub_server
         iterations = RunState.from_dict(json.load(fh)).iterations
     kinds = [c.proposer_kind for it in iterations for c in it.candidates]
     assert "rule" in kinds and "llm" not in kinds
-    assert os.listdir(str(out / "llm")) == ["transcripts.jsonl"]
-    outcomes = [json.loads(line)["outcome"]
-                for line in (out / "llm" / "transcripts.jsonl").read_text().splitlines()]
+    # The log is the run's own, in its run directory.
+    assert os.listdir(str(out)) == ["chain-seed0"]
+    outcomes = [json.loads(line)["outcome"] for line in
+                (out / "chain-seed0" / "transcripts.jsonl").read_text().splitlines()]
     # One line per attempt: with no retries, one per request.
     assert len(outcomes) == len(_StubHandler.received)
     assert outcomes and all(o.startswith("attempt 0: ") for o in outcomes)
+
+
+def test_llm_runs_under_one_out_keep_their_own_transcripts(stub_server, tmp_path):
+    from rtlopt.cli import main
+
+    _StubHandler.script = [_truncated] * 100
+    config = tmp_path / "llm.json"
+    config.write_text(json.dumps({
+        "iterations": 1,
+        "proposer": {"n_candidates": 2,
+                     "llm": {"base_url": stub_server, "model": "stub-model",
+                             "max_retries": 0}}}))
+    out = tmp_path / "runs"
+    requests = {}
+    for name, source in (("chain", CHAIN_ADDER_8), ("chainv", CHAIN_ADDER_8_VARIANT)):
+        design = tmp_path / f"{name}.rtl"
+        design.write_text(source)
+        before = len(_StubHandler.received)
+        assert main(["optimize", "--design", str(design), "--config", str(config),
+                     "--out", str(out)]) == 0
+        requests[name] = [body for _, _, body in _StubHandler.received[before:]]
+    assert sorted(os.listdir(str(out))) == ["chain-seed0", "chainv-seed0"]
+    for name, bodies in requests.items():
+        log = (out / f"{name}-seed0" / "transcripts.jsonl").read_text().splitlines()
+        assert bodies and [json.loads(line)["request"] for line in log] == bodies
+        assert all(f"module {name}(" in body["messages"][1]["content"] for body in bodies)
 
 
 def _proxy_environment(monkeypatch, **values):

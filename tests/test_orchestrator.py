@@ -9,7 +9,7 @@ import pytest
 from corpus import CHAIN_ADDER_8, CHAIN_ADDER_8_REG, REWRITE_CORPUS
 from rtlopt import orchestrator
 from rtlopt.backend import GoldenSec
-from rtlopt.dsl import CompiledDesign, parse
+from rtlopt.dsl import CompiledDesign, parse, print_design
 from rtlopt.orchestrator import (
     BaselineEvaluationError,
     RunConfig,
@@ -207,6 +207,25 @@ def test_run_respects_iteration_budget(tmp_path):
         open(os.path.join(result.run_dir, "state.json")).read()))
     assert len(state.iterations) == 1
     assert state.status == "budget-exhausted"
+
+
+def test_parents_are_printed_only_when_their_text_is_not_canonical(tmp_path, monkeypatch):
+    """A promoted candidate was parsed from printer output, so the proposer
+    seeds its duplicate check from the candidate's own text: only the
+    original design, written by hand, is printed."""
+    from rtlopt import proposer
+
+    printed = []
+
+    def counted(design):
+        printed.append(design.name)
+        return print_design(design)
+
+    monkeypatch.setattr(proposer, "print_design", counted)
+    design = parse(CHAIN_ADDER_8, "chain.rtl")
+    result = run(design, _config(iterations=3), str(tmp_path))
+    assert result.convergence_steps >= 1
+    assert printed == ["chain"]
 
 
 def test_candidates_name_a_diagnosed_path_and_strategy(tmp_path):

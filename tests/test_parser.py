@@ -5,6 +5,7 @@ import sys
 import time
 import weakref
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from rtlopt.dsl import (
 )
 from rtlopt.dsl.ast import _INTERNED
 from rtlopt.dsl.parser import _DESIGNS
-from rtlopt.timing import diagnose, select_critical_paths
+from rtlopt.timing import Stage, diagnose, select_critical_paths
 
 
 def test_basic_module_shape():
@@ -543,7 +544,7 @@ def _best_seconds(fn, repeat=3):
 def test_deep_and_wide_inputs_parse_in_linear_time(shape):
     """Each shape parses in linear time, as text and as printer output, then
     goes through every layer of the loop, all without recursing per level
-    or per wire."""
+    or per wire; its timing analysis takes linear time too."""
     build, n, check = _DEEP_AND_WIDE[shape]
     small, large = build(n // 4), build(n)
     with _recursion_headroom():
@@ -558,7 +559,46 @@ def test_deep_and_wide_inputs_parse_in_linear_time(shape):
         designs = parse(small), parse(large)
         printed = [_best_seconds(lambda: parse(print_design(d), "printed.rtl"))
                    for d in designs]
+        # Timing analysis from n to 4n: at this size a quadratic one shows.
+        synthesized = [_best_seconds(lambda: synthesize(d, BackendConfig()))
+                       for d in (designs[1], parse(build(4 * n)))]
     # Four times the input takes about four times as long when parsing is
     # linear, and sixteen times when it is quadratic.
     assert full < 10 * quarter, (full, quarter)
     assert printed[1] < 10 * printed[0], printed
+    assert synthesized[1] < 10 * synthesized[0], synthesized
+
+
+def test_topo_order_is_kept_on_the_design():
+    """Elaboration's order is the one every later call returns, and it is
+    the order a fresh depth-first walk gives."""
+    design = parse(_reverse_chain(50))
+    order = topo_order(design)
+    assert topo_order(design) is order and _chain_order(design, 50)
+    fresh = replace(design)  # a copy holds no order until asked
+    assert fresh._order is None and topo_order(fresh) == order
+
+
+@pytest.mark.parametrize("shape", [*_DEEP_AND_WIDE, "fanout and registers"])
+def test_synthesis_builds_stages_only_for_reported_paths(shape, monkeypatch):
+    """One ``Stage`` is built per stage of a reported endpoint path, however
+    many nodes the arrivals pass through."""
+    import rtlopt.backend as backend
+    from corpus import CHAIN_ADDER_8_REG, REWRITE_CORPUS
+
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(1)
+        return Stage(*args, **kwargs)
+
+    if shape in _DEEP_AND_WIDE:
+        build, n, _ = _DEEP_AND_WIDE[shape]
+        designs = [parse(build(n))]
+    else:
+        designs = [parse(text) for text in (CHAIN_ADDER_8_REG, *REWRITE_CORPUS)]
+    monkeypatch.setattr(backend, "Stage", counted)
+    for design in designs:
+        built.clear()
+        report = synthesize(design, BackendConfig())[1]
+        assert len(built) == sum(len(p.stages) for p in report.endpoints) > 0

@@ -38,6 +38,7 @@ from rtlopt.scoring import CandidateScore, group_advantage
 from rtlopt.skills import SkillLibrary, distill, merge
 from rtlopt.timing import BottleneckDiagnosis, RtlRegion, TimingPath
 from rtlopt.trajectory import CandidateRecord, IterationRecord, canonical_json, design_hash
+from sta_reference import assert_matches_reference
 
 _VARS = ("a", "b", "c")
 # Both sides of every dtype boundary of the batch engine.
@@ -94,6 +95,16 @@ def test_print_parse_roundtrip_preserves_semantics(case):
     assert print_design(reparsed) == print_design(design)
     for trace in _corner_traces(case[0]):
         assert simulate(design, trace, 1) == simulate(reparsed, trace, 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_designs, st.sampled_from([0.5, 3.0]))
+def test_sta_matches_the_list_building_reference(case, clock):
+    """Synthesis gives the reference analysis's metrics and report, float for
+    float, on the design as written and on its canonical text."""
+    design = _design(*case)
+    for d in (design, parse(print_design(design), "printed.rtl")):
+        assert_matches_reference(d, BackendConfig(clock_period=clock))
 
 
 # The defining token of each node kind other than var and const.

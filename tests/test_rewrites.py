@@ -52,6 +52,24 @@ endmodule
         tree_rebalance(balanced)
 
 
+@pytest.mark.parametrize("inner,rebalanced", [
+    ("((a ^ b) ^ c) ^ d", "(a ^ b) ^ (c ^ d)"),         # another operator
+    ("~(((a & b) & c) & d)", "~((a & b) & (c & d))"),  # the same, behind a not
+])
+def test_tree_rebalance_reaches_chains_inside_a_balanced_chain(inner, rebalanced, bcfg):
+    """The outer and-chain is balanced, so the strategy goes on into its
+    operands and rebalances the skewed chain that one of them holds."""
+    text = """\
+module m(input [1:0] a, input [1:0] b, input [1:0] c, input [1:0] d, output [1:0] y);
+  assign y = (({}) & b) & (c & d);
+endmodule
+"""
+    parent = parse(text.format(inner))
+    child = tree_rebalance(parent)
+    assert child.assigns[0].expr is parse(text.format(rebalanced)).assigns[0].expr
+    assert _sec_pass(parent, child, bcfg)
+
+
 def test_cse_extracts_shared_wire(bcfg):
     parent = parse(REWRITE_CORPUS[1])
     child = common_subexpression_extraction(parent)

@@ -1,9 +1,12 @@
 """Builtin STA oracle: delay/area table, report shape, invariances."""
 
 import itertools
+import sys
+from pathlib import Path
 
 import pytest
 
+import corpus
 from corpus import CHAIN_ADDER_8
 from rtlopt.backend import (
     BackendConfig,
@@ -12,6 +15,8 @@ from rtlopt.backend import (
     synthesize,
 )
 from rtlopt.dsl import parse
+from rtlopt.rewrites import STRATEGY_FUNCTIONS, NotApplicable, apply_strategy
+from sta_reference import assert_matches_reference, sources_in
 
 
 REBALANCED_8 = """\
@@ -155,3 +160,34 @@ def test_shared_subexpression_stages_name_their_own_occurrence(bcfg):
         y, z = 2 + shift, 3 + shift
         assert stages == {"y": [(f"add_{y}_17", y, 17), (f"xor_{y}_22", y, 22)],
                           "z": [(f"add_{z}_21", z, 21), (f"and_{z}_16", z, 16)]}
+
+
+def _corpus_and_workload_designs():
+    """Every design in ``corpus.py``, and the generated designs of every
+    perfbench workload at seeds 0-2 (read through ``workloads.generate``)."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import workloads
+
+    texts = [text for value in vars(corpus).values() for text in sources_in(value)]
+    texts += [spec.source for name in workloads.WORKLOADS for seed in range(3)
+              for spec in workloads.generate(name, seed)]
+    return [parse(text, "ref.rtl") for text in dict.fromkeys(texts)]
+
+
+def test_sta_matches_the_reference_on_corpus_workloads_and_every_rewrite():
+    """The linear analysis gives the list-building reference's metrics and
+    report, float for float, on every corpus and workload design and on each
+    catalog rewrite of it, at the default clock and at a slack-positive one."""
+    checked = 0
+    for design in _corpus_and_workload_designs():
+        rewrites = []
+        for strategy in STRATEGY_FUNCTIONS:
+            try:
+                rewrites.append(apply_strategy(design, strategy))
+            except NotApplicable:
+                pass
+        for candidate in (design, *rewrites):
+            for config in (BackendConfig(), BackendConfig(clock_period=40.0)):
+                assert_matches_reference(candidate, config)
+            checked += 1
+    assert checked > 150
